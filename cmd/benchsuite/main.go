@@ -1,11 +1,13 @@
-// Command benchsuite runs any subset of the registered experiments
-// (E1–E12 and ALLOC)
+// Command benchsuite is the single entry point of the experiment suite:
+// it runs any subset of the registered experiments (E1–E12 and ALLOC)
 // and writes one machine-readable BENCH_<name>.json per experiment, so the
 // repository's benchmark trajectory can be recorded and diffed PR over PR.
 //
 // Usage:
 //
 //	go run ./cmd/benchsuite -list
+//	go run ./cmd/benchsuite -knobs -quick
+//	go run ./cmd/benchsuite -experiments E1,E2 -knob payloads_kb=1
 //	go run ./cmd/benchsuite -experiments E5,E8 -out .
 //	go run ./cmd/benchsuite -quick -out /tmp/bench          # CI smoke
 //	go run ./cmd/benchsuite -experiments E5 -compare old/   # regression deltas
@@ -17,17 +19,21 @@
 // previous run's files (a directory of BENCH_*.json or a single file) and
 // prints point-wise deltas sorted by drift. -knob name=value overrides
 // experiment parameters (repeatable); the accepted knobs of each
-// experiment are listed in docs/EXPERIMENTS.md and echoed in each file's
-// "config" object. -trace records per-request span trees and queue/CPU/
-// backlog time series across every measurement run and writes one Chrome
-// trace-event file (open in chrome://tracing or https://ui.perfetto.dev).
+// experiment are listed by -knobs and in docs/EXPERIMENTS.md and echoed
+// in each file's "config" object. -tables prints each result's tables,
+// derived config and notes. -trace records per-request span trees and
+// queue/CPU/backlog time series across every measurement run and writes
+// one Chrome trace-event file (open in chrome://tracing or
+// https://ui.perfetto.dev).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -82,18 +88,13 @@ func main() {
 		rc := bench.DefaultRunContext()
 		rc.Quick = *quick
 		for _, e := range bench.Experiments() {
-			cfg, err := e.Params(rc)
+			v, err := e.Resolve(rc)
 			if err != nil {
 				fatal(err)
 			}
-			names := make([]string, 0, len(cfg))
-			for k := range cfg {
-				names = append(names, k)
-			}
-			sort.Strings(names)
 			fmt.Printf("%s:\n", e.Name)
-			for _, k := range names {
-				fmt.Printf("  -knob %s=%s\n", k, cfg[k])
+			for _, name := range slices.Sorted(maps.Keys(v)) {
+				fmt.Printf("  -knob %s=%s\n", name, v.Format(name))
 			}
 		}
 		return
@@ -136,6 +137,7 @@ func main() {
 			for _, tab := range res.Tables() {
 				fmt.Println(tab.Render())
 			}
+			printNotes(res)
 		}
 		if *compare != "" {
 			n, err := compareAgainst(*compare, res)
@@ -154,6 +156,25 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%d spans, %d samples, %d runs; %d spans dropped)\n",
 			*trace, rc.Trace.SpanCount(), rc.Trace.SampleCount(), rc.Trace.RunCount(), rc.Trace.DroppedSpans())
+	}
+}
+
+// printNotes prints what the tables leave out: the config entries a run
+// derives beyond its knobs (E7's phase and counter indexes, E5's cluster
+// label) and every note, such as E7's virtual-time fault timelines.
+func printNotes(res *metrics.Result) {
+	e, _ := bench.Lookup(res.Experiment)
+	knob := map[string]bool{}
+	for _, k := range e.Knobs {
+		knob[k.Name] = true
+	}
+	for _, name := range slices.Sorted(maps.Keys(res.Config)) {
+		if !knob[name] {
+			fmt.Printf("%s: %s\n", name, res.Config[name])
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(res.Notes)) {
+		fmt.Printf("\n%s:\n%s\n", name, strings.TrimSuffix(res.Notes[name], "\n"))
 	}
 }
 

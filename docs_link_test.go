@@ -50,8 +50,9 @@ func TestDocsLinks(t *testing.T) {
 }
 
 // TestDocsMentionEveryExperiment asserts docs/EXPERIMENTS.md documents
-// each registered experiment with its own section heading, so the
-// registry and its documentation cannot drift apart silently.
+// each registered experiment with its own section heading naming every
+// knob in its table as a code span, so the registry and its
+// documentation cannot drift apart silently.
 func TestDocsMentionEveryExperiment(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("docs", "EXPERIMENTS.md"))
 	if err != nil {
@@ -63,8 +64,16 @@ func TestDocsMentionEveryExperiment(t *testing.T) {
 		t.Fatalf("registry has %d experiments, want at least 8", len(experiments))
 	}
 	for _, e := range experiments {
-		if !strings.Contains(text, "## "+e.Name+" ") {
+		_, section, found := strings.Cut(text, "\n## "+e.Name+" ")
+		if !found {
 			t.Errorf("docs/EXPERIMENTS.md: missing section for experiment %s", e.Name)
+			continue
+		}
+		section, _, _ = strings.Cut(section, "\n## ")
+		for _, k := range e.Knobs {
+			if !strings.Contains(section, "`"+k.Name+"`") {
+				t.Errorf("docs/EXPERIMENTS.md: section %s does not document knob `%s`", e.Name, k.Name)
+			}
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"strconv"
-
 	"rubin/internal/metrics"
 	"rubin/internal/model"
 	"rubin/internal/rubin"
@@ -45,27 +43,6 @@ func runAblation(ab Ablation, cfg EchoConfig, params model.Params) (EchoResult, 
 	return echoChannelCfg(cfg, p, mutate)
 }
 
-// AblationTable measures the channel echo under every variant for the
-// given payloads, reporting mean round-trip latency in µs.
-func AblationTable(payloadsKB []int, params model.Params) (*metrics.Table, error) {
-	tab := metrics.NewTable("E6: RUBIN channel ablations", "payload_kb", "latency µs")
-	for _, ab := range Ablations() {
-		series := tab.AddSeries(ab.Name)
-		for _, kb := range payloadsKB {
-			cfg := DefaultEchoConfig(kb << 10)
-			// Saturate the selector thread so per-message overheads are
-			// on the critical path (idle gaps would otherwise hide them).
-			cfg.Window = 8
-			res, err := runAblation(ab, cfg, params)
-			if err != nil {
-				return nil, err
-			}
-			series.Add(float64(kb), res.MeanRT.Micros())
-		}
-	}
-	return tab, nil
-}
-
 // ---------------------------------------------------------------------------
 // Registry entry: E6 (Section IV optimization ablations).
 // ---------------------------------------------------------------------------
@@ -75,59 +52,24 @@ func init() {
 		Name:   "E6",
 		Title:  "RUBIN channel optimization ablations (echo mean RTT)",
 		Figure: "paper Section IV/V",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveE6(rc)
-			return cfg, err
+		Knobs: []Knob{
+			{"payloads_kb", "1,4,16,64,100", "2", 1, list},
+			{"messages", "1000", "150", 1, scalar},
+			{"warmup", "50", "20", 0, scalar},
+			// Saturate the selector thread so per-message overheads
+			// are on the critical path (idle gaps would otherwise
+			// hide them).
+			{"window", "8", "", 1, scalar},
 		},
 		Run: runE6,
 	})
 }
 
-type e6Knobs struct {
-	payloadsKB []int
-	messages   int
-	warmup     int
-	window     int
-}
-
-func resolveE6(rc RunContext) (e6Knobs, map[string]string, error) {
-	k := e6Knobs{payloadsKB: []int{1, 4, 16, 64, 100}, messages: 1000, warmup: 50, window: 8}
-	if rc.Quick {
-		k.payloadsKB, k.messages, k.warmup = []int{2}, 150, 20
-	}
-	var err error
-	if k.payloadsKB, err = rc.intsKnob("payloads_kb", k.payloadsKB); err != nil {
-		return k, nil, err
-	}
-	if k.messages, err = rc.intKnob("messages", k.messages); err != nil {
-		return k, nil, err
-	}
-	if k.warmup, err = rc.intKnob("warmup", k.warmup); err != nil {
-		return k, nil, err
-	}
-	if k.window, err = rc.intKnob("window", k.window); err != nil {
-		return k, nil, err
-	}
-	cfg := map[string]string{
-		"payloads_kb": formatInts(k.payloadsKB),
-		"messages":    strconv.Itoa(k.messages),
-		"warmup":      strconv.Itoa(k.warmup),
-		"window":      strconv.Itoa(k.window),
-	}
-	return k, cfg, nil
-}
-
-func runE6(rc RunContext, res *metrics.Result) error {
-	k, _, err := resolveE6(rc)
-	if err != nil {
-		return err
-	}
+func runE6(rc RunContext, v KnobValues, res *metrics.Result) error {
 	for _, ab := range Ablations() {
 		mean := res.AddSeries(ab.Name, metrics.MetricLatencyMean, "us", "rdma", "payload_kb")
-		for _, kb := range k.payloadsKB {
-			cfg := EchoConfig{Payload: kb << 10, Messages: k.messages, Warmup: k.warmup,
-				Window: k.window, Seed: rc.Seed}
-			r, err := runAblation(ab, cfg, rc.Model)
+		for _, kb := range v.Ints("payloads_kb") {
+			r, err := runAblation(ab, echoConfig(rc, v, kb), rc.Model)
 			if err != nil {
 				return err
 			}

@@ -9,10 +9,7 @@ import (
 
 // quickEcho shortens the runs for test time while keeping the shapes.
 func quickEcho(payload int) EchoConfig {
-	cfg := DefaultEchoConfig(payload)
-	cfg.Messages = 200
-	cfg.Warmup = 20
-	return cfg
+	return EchoConfig{Payload: payload, Messages: 200, Warmup: 20, Window: 3, Seed: 1}
 }
 
 func runStack(t *testing.T, stack Fig3Stack, payload int) EchoResult {
@@ -120,10 +117,7 @@ func TestFig3ThroughputMirrorsLatency(t *testing.T) {
 }
 
 func quickFig4(payload int) Fig4Config {
-	cfg := DefaultFig4Config(payload)
-	cfg.Messages = 300
-	cfg.Warmup = 50
-	return cfg
+	return Fig4Config{Payload: payload, Messages: 300, Warmup: 50, Window: 30, Batch: 10, Seed: 1}
 }
 
 // TestFig4Shape asserts Figure 4: RUBIN's throughput beats the NIO stack
@@ -155,7 +149,7 @@ func TestFig4Shape(t *testing.T) {
 // TestBFTAgreementFasterOverRUBIN asserts the end goal (experiment E5):
 // the replicated system commits faster over RUBIN than over the NIO stack.
 func TestBFTAgreementFasterOverRUBIN(t *testing.T) {
-	cfgR := DefaultBFTConfig(transport.KindRDMA, 1<<10)
+	cfgR := bftConfig(transport.KindRDMA, 1<<10)
 	cfgR.Requests, cfgR.Warmup = 120, 20
 	cfgT := cfgR
 	cfgT.Kind = transport.KindTCP
@@ -183,10 +177,17 @@ func TestBFTAgreementFasterOverRUBIN(t *testing.T) {
 // rubin package tests where the counters are visible; end-to-end latency
 // deltas can hide in idle thread gaps depending on load alignment.)
 func TestAblationTable(t *testing.T) {
-	tab, err := AblationTable([]int{2, 32, 100}, model.Default())
+	rc := DefaultRunContext()
+	rc.Knobs = map[string]string{"payloads_kb": "2,32,100"}
+	res, err := Run("E6", rc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tables := res.Tables()
+	if len(tables) != 1 {
+		t.Fatalf("E6 renders %d tables, want 1", len(tables))
+	}
+	tab := tables[0]
 	if len(tab.Series) != len(Ablations()) {
 		t.Fatalf("table has %d series, want %d", len(tab.Series), len(Ablations()))
 	}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 
 	"rubin/internal/kvstore"
 	"rubin/internal/metrics"
@@ -31,15 +30,6 @@ type BFTConfig struct {
 	// Trace, when non-nil, records spans and samples into the shared
 	// -trace tracer; nil still aggregates the latency breakdown.
 	Trace *obs.Tracer
-}
-
-// DefaultBFTConfig returns the 4-replica, f=1, single-client setup.
-func DefaultBFTConfig(kind transport.Kind, payload int) BFTConfig {
-	return BFTConfig{
-		Kind: kind, Payload: payload,
-		Requests: 150, Warmup: 20, Window: 16, Batch: 8,
-		N: 4, F: 1, Clients: 1, Seed: 1,
-	}
 }
 
 // Label describes the replica-group shape of this configuration — derived
@@ -197,9 +187,21 @@ func init() {
 		Name:   "E5",
 		Title:  "BFT agreement latency and throughput (PBFT over RUBIN vs NIO)",
 		Figure: "paper Section VI (stated future work)",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveE5(rc)
-			return cfg, err
+		Knobs: []Knob{
+			{"payloads_kb", "1,4,16", "1", 1, list},
+			{"n", "4", "", 1, scalar},
+			{"f", "", "", 0, scalar}, // (n-1)/3 unless set; see Check
+			{"requests", "150", "60", 1, scalar},
+			{"warmup", "20", "10", 0, scalar},
+			{"window", "16", "", 1, scalar},
+			{"batch", "8", "", 1, scalar},
+			{"clients", "1", "", 1, scalar},
+		},
+		Check: func(v KnobValues) error {
+			if _, set := v["f"]; !set {
+				v["f"] = []int{(v.Int("n") - 1) / 3}
+			}
+			return nil
 		},
 		Run: runE5,
 	})
@@ -211,61 +213,11 @@ var e5SeriesNames = map[transport.Kind]string{
 	transport.KindTCP:  "Reptor+NIO",
 }
 
-func resolveE5(rc RunContext) (BFTConfig, map[string]string, error) {
-	base := DefaultBFTConfig(transport.KindRDMA, 0)
-	base.Seed = rc.Seed
-	payloadsKB := []int{1, 4, 16}
-	if rc.Quick {
-		payloadsKB = []int{1}
-		base.Requests, base.Warmup = 60, 10
-	}
-	var err error
-	if payloadsKB, err = rc.intsKnob("payloads_kb", payloadsKB); err != nil {
-		return base, nil, err
-	}
-	if base.N, err = rc.intKnob("n", base.N); err != nil {
-		return base, nil, err
-	}
-	if base.F, err = rc.intKnob("f", (base.N-1)/3); err != nil {
-		return base, nil, err
-	}
-	if base.Requests, err = rc.intKnob("requests", base.Requests); err != nil {
-		return base, nil, err
-	}
-	if base.Warmup, err = rc.intKnob("warmup", base.Warmup); err != nil {
-		return base, nil, err
-	}
-	if base.Window, err = rc.intKnob("window", base.Window); err != nil {
-		return base, nil, err
-	}
-	if base.Batch, err = rc.intKnob("batch", base.Batch); err != nil {
-		return base, nil, err
-	}
-	if base.Clients, err = rc.intKnob("clients", base.Clients); err != nil {
-		return base, nil, err
-	}
-	cfg := map[string]string{
-		"payloads_kb": formatInts(payloadsKB),
-		"n":           strconv.Itoa(base.N),
-		"f":           strconv.Itoa(base.F),
-		"requests":    strconv.Itoa(base.Requests),
-		"warmup":      strconv.Itoa(base.Warmup),
-		"window":      strconv.Itoa(base.Window),
-		"batch":       strconv.Itoa(base.Batch),
-		"clients":     strconv.Itoa(base.Clients),
-	}
-	return base, cfg, nil
-}
-
-func runE5(rc RunContext, res *metrics.Result) error {
-	base, cfg, err := resolveE5(rc)
-	if err != nil {
-		return err
-	}
-	base.Trace = rc.Trace
-	payloadsKB, err := ParseInts(cfg["payloads_kb"])
-	if err != nil {
-		return err
+func runE5(rc RunContext, v KnobValues, res *metrics.Result) error {
+	base := BFTConfig{
+		Requests: v.Int("requests"), Warmup: v.Int("warmup"), Window: v.Int("window"),
+		Batch: v.Int("batch"), N: v.Int("n"), F: v.Int("f"), Clients: v.Int("clients"),
+		Seed: rc.Seed, Trace: rc.Trace,
 	}
 	res.SetConfig("cluster", base.Label())
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
@@ -274,7 +226,7 @@ func runE5(rc RunContext, res *metrics.Result) error {
 		p99 := res.AddSeries(name, metrics.MetricLatencyP99, "us", string(kind), "payload_kb")
 		tput := res.AddSeries(name, metrics.MetricThroughput, "req/s", string(kind), "payload_kb")
 		faults := res.AddSeries(name, metrics.MetricSendFaults, "count", string(kind), "payload_kb")
-		for _, kb := range payloadsKB {
+		for _, kb := range v.Ints("payloads_kb") {
 			c := base
 			c.Kind = kind
 			c.Payload = kb << 10

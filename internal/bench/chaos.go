@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"rubin/internal/chaos"
@@ -23,11 +22,6 @@ type ChaosConfig struct {
 	Payload int   // request operation size in bytes
 	Window  int   // client-side outstanding requests
 	Seed    int64 // simulation seed
-}
-
-// DefaultChaosConfig returns the standard E7 setup.
-func DefaultChaosConfig(kind transport.Kind) ChaosConfig {
-	return ChaosConfig{Kind: kind, Payload: 512, Window: 16, Seed: 1}
 }
 
 // ChaosPhase is one segment of the E7 fault timeline with its measured
@@ -205,37 +199,18 @@ func init() {
 		Name:   "E7",
 		Title:  "BFT agreement under faults (crash, view change, state transfer, partition, heal)",
 		Figure: "beyond the paper: fault-regime evaluation",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveE7(rc)
-			return cfg, err
+		Knobs: []Knob{
+			{"payload", "512", "", 1, scalar},
+			// Quick mode was once pinned to window 4 because window 8
+			// wedged the healed phase (two replicas lagging together
+			// deadlocked the stable checkpoint; see
+			// TestChaosWindow8Regression). Fixed by the F+1
+			// state-transfer trigger — quick mode now runs the
+			// once-bad window to keep the regression visible in CI.
+			{"window", "16", "8", 1, scalar},
 		},
 		Run: runE7,
 	})
-}
-
-func resolveE7(rc RunContext) (ChaosConfig, map[string]string, error) {
-	base := DefaultChaosConfig(transport.KindRDMA)
-	base.Seed = rc.Seed
-	if rc.Quick {
-		// Once pinned to window 4 because window 8 wedged the healed
-		// phase (two replicas lagging together deadlocked the stable
-		// checkpoint; see TestChaosWindow8Regression). Fixed by the
-		// F+1 state-transfer trigger — quick mode now runs the once-bad
-		// window to keep the regression visible in CI.
-		base.Window = 8
-	}
-	var err error
-	if base.Payload, err = rc.intKnob("payload", base.Payload); err != nil {
-		return base, nil, err
-	}
-	if base.Window, err = rc.intKnob("window", base.Window); err != nil {
-		return base, nil, err
-	}
-	cfg := map[string]string{
-		"payload": strconv.Itoa(base.Payload),
-		"window":  strconv.Itoa(base.Window),
-	}
-	return base, cfg, nil
 }
 
 // phaseNames lists the fixed E7 timeline phases in index order.
@@ -248,15 +223,10 @@ func phaseNames() []string {
 	return names
 }
 
-func runE7(rc RunContext, res *metrics.Result) error {
-	base, _, err := resolveE7(rc)
-	if err != nil {
-		return err
-	}
+func runE7(rc RunContext, v KnobValues, res *metrics.Result) error {
 	res.SetConfig("phases", strings.Join(phaseNames(), ","))
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
-		cfg := base
-		cfg.Kind = kind
+		cfg := ChaosConfig{Kind: kind, Payload: v.Int("payload"), Window: v.Int("window"), Seed: rc.Seed}
 		r, err := RunChaos(cfg, rc.Model)
 		if err != nil {
 			return err
@@ -286,19 +256,4 @@ func runE7(rc RunContext, res *metrics.Result) error {
 	}
 	res.SetConfig("counter_index", "0=state_transfers,1=send_faults,2=peak_queue_bytes")
 	return nil
-}
-
-// Render formats the per-phase measurements as an aligned text table.
-func (r ChaosResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# E7: BFT agreement under faults (%s, %d replicas, f=%d)\n", r.Kind, r.N, r.F)
-	fmt.Fprintf(&b, "%-18s %12s %10s %12s %12s %12s\n",
-		"phase", "window", "commits", "req/s", "mean lat", "p99 lat")
-	for _, p := range r.Phases {
-		fmt.Fprintf(&b, "%-18s %5v-%-6v %10d %12.0f %12v %12v\n",
-			p.Name, p.Start, p.End, p.Committed, p.Throughput, p.MeanLat, p.P99Lat)
-	}
-	fmt.Fprintf(&b, "send faults surfaced: %d   peak msgnet queue: %d bytes\n",
-		r.SendFaults, r.PeakQueueBytes)
-	return b.String()
 }

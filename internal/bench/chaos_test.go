@@ -8,12 +8,10 @@ import (
 	"rubin/internal/transport"
 )
 
-// quickChaos shrinks the client window so the test run is cheap; the
+// quickChaos shrinks E7's client window so the test run is cheap; the
 // timeline and protocol behaviour are unchanged.
 func quickChaos(kind transport.Kind) ChaosConfig {
-	cfg := DefaultChaosConfig(kind)
-	cfg.Window = 4
-	return cfg
+	return ChaosConfig{Kind: kind, Payload: 512, Window: 4, Seed: 1}
 }
 
 // TestChaosLivenessAcrossTimeline asserts the headline result of
@@ -32,7 +30,7 @@ func TestChaosLivenessAcrossTimeline(t *testing.T) {
 			}
 			for _, p := range res.Phases {
 				if p.Committed == 0 {
-					t.Errorf("phase %q committed nothing:\n%s", p.Name, res.Render())
+					t.Errorf("phase %q committed nothing:\n%+v", p.Name, res.Phases)
 				}
 			}
 			if res.StateTransfers == 0 {
@@ -64,7 +62,7 @@ func TestChaosWindow8Regression(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			cfg := DefaultChaosConfig(kind)
+			cfg := quickChaos(kind)
 			cfg.Window = 8
 			res, err := RunChaos(cfg, model.Default())
 			if err != nil {
@@ -72,8 +70,8 @@ func TestChaosWindow8Regression(t *testing.T) {
 			}
 			for _, p := range res.Phases {
 				if p.Committed == 0 {
-					t.Errorf("phase %q committed nothing (window-8 wedge is back):\n%s",
-						p.Name, res.Render())
+					t.Errorf("phase %q committed nothing (window-8 wedge is back):\n%+v",
+						p.Name, res.Phases)
 				}
 			}
 		})
@@ -88,7 +86,7 @@ func TestChaosDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%s\n%s", res.Render(), res.Trace)
+		return fmt.Sprintf("%+v", res)
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("E7 not deterministic:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)

@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 
 	"rubin/internal/metrics"
 	"rubin/internal/sim"
@@ -38,112 +38,29 @@ func init() {
 		Name:   "E11",
 		Title:  "read-only fast path: read share and batch size under the linearizability oracle",
 		Figure: "beyond the paper: Castro-Liskov read optimization on the RDMA transport study",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveE11(rc)
-			return cfg, err
+		Knobs: []Knob{
+			{"read_pcts", "50,90,99", "90", 0, list}, // read shares of the mix sweep
+			{"batches", "1,8,32", "8", 1, list},      // agreement batch sizes of the batch sweep
+			{"n", "4", "", 4, scalar},                // 3f+1 with f >= 1
+			{"users", "96", "24", 1, scalar},
+			{"conns", "4", "2", 1, scalar},
+			{"keys", "128", "32", 10, scalar},
+			{"ops", "300", "60", 1, scalar},
+			{"warmup", "30", "10", 0, scalar},
+			{"value_bytes", "128", "", 0, scalar},
+			{"window", "1", "", 1, scalar},             // closed-loop outstanding per user
+			{"read_timeout_us", "2000", "", 1, scalar}, // fast-read fallback timeout
+		},
+		Check: func(v KnobValues) error {
+			for _, r := range v.Ints("read_pcts") {
+				if r > 100 {
+					return fmt.Errorf("read_pcts are percentages, got %d", r)
+				}
+			}
+			return checkConns(v)
 		},
 		Run: runE11,
 	})
-}
-
-// e11Knobs are the resolved parameters of one E11 run.
-type e11Knobs struct {
-	readPcts    []int // read shares of the mix sweep
-	batches     []int // agreement batch sizes of the batch sweep
-	n           int
-	users       int
-	conns       int
-	keys        int
-	ops         int
-	warmup      int
-	valueBytes  int
-	window      int // closed-loop outstanding per user
-	readTimeout int // fast-read fallback timeout, us
-}
-
-func resolveE11(rc RunContext) (e11Knobs, map[string]string, error) {
-	k := e11Knobs{
-		readPcts: []int{50, 90, 99},
-		batches:  []int{1, 8, 32},
-		n:        4, users: 96, conns: 4, keys: 128,
-		ops: 300, warmup: 30, valueBytes: 128, window: 1,
-		readTimeout: 2000,
-	}
-	if rc.Quick {
-		k.readPcts, k.batches = []int{90}, []int{8}
-		k.users, k.conns, k.keys = 24, 2, 32
-		k.ops, k.warmup = 60, 10
-	}
-	var err error
-	if k.readPcts, err = rc.nonNegIntsKnob("read_pcts", k.readPcts); err != nil {
-		return k, nil, err
-	}
-	if k.batches, err = rc.intsKnob("batches", k.batches); err != nil {
-		return k, nil, err
-	}
-	if k.n, err = rc.intKnob("n", k.n); err != nil {
-		return k, nil, err
-	}
-	if k.users, err = rc.intKnob("users", k.users); err != nil {
-		return k, nil, err
-	}
-	if k.conns, err = rc.intKnob("conns", k.conns); err != nil {
-		return k, nil, err
-	}
-	if k.keys, err = rc.intKnob("keys", k.keys); err != nil {
-		return k, nil, err
-	}
-	if k.ops, err = rc.intKnob("ops", k.ops); err != nil {
-		return k, nil, err
-	}
-	if k.warmup, err = rc.intKnob("warmup", k.warmup); err != nil {
-		return k, nil, err
-	}
-	if k.valueBytes, err = rc.intKnob("value_bytes", k.valueBytes); err != nil {
-		return k, nil, err
-	}
-	if k.window, err = rc.intKnob("window", k.window); err != nil {
-		return k, nil, err
-	}
-	if k.readTimeout, err = rc.intKnob("read_timeout_us", k.readTimeout); err != nil {
-		return k, nil, err
-	}
-	if k.n < 4 {
-		return k, nil, fmt.Errorf("bench: E11 needs n >= 4 (3f+1), got %d", k.n)
-	}
-	if k.users < k.conns || k.conns < 1 {
-		return k, nil, fmt.Errorf("bench: E11 needs 1 <= conns <= users, got %d/%d", k.conns, k.users)
-	}
-	if k.window < 1 || k.keys < 10 || k.readTimeout < 1 {
-		return k, nil, fmt.Errorf("bench: E11 needs window >= 1, keys >= 10 and read_timeout_us >= 1")
-	}
-	if len(k.readPcts) == 0 || len(k.batches) == 0 {
-		return k, nil, fmt.Errorf("bench: E11 needs non-empty read_pcts and batches")
-	}
-	for _, r := range k.readPcts {
-		if r > 100 {
-			return k, nil, fmt.Errorf("bench: E11 read_pcts are percentages, got %d", r)
-		}
-	}
-	for _, b := range k.batches {
-		if b < 1 {
-			return k, nil, fmt.Errorf("bench: E11 batch sizes must be >= 1, got %d", b)
-		}
-	}
-	cfg := map[string]string{
-		"read_pcts":       formatInts(k.readPcts),
-		"batches":         formatInts(k.batches),
-		"n":               strconv.Itoa(k.n),
-		"users":           strconv.Itoa(k.users),
-		"conns":           strconv.Itoa(k.conns),
-		"keys":            strconv.Itoa(k.keys),
-		"ops":             strconv.Itoa(k.ops),
-		"warmup":          strconv.Itoa(k.warmup),
-		"value_bytes":     strconv.Itoa(k.valueBytes),
-		"window":          strconv.Itoa(k.window),
-		"read_timeout_us": strconv.Itoa(k.readTimeout),
-	}
-	return k, cfg, nil
 }
 
 // e11Series is one E11 sweep combo's series bundle: the shared E9
@@ -192,29 +109,14 @@ func e11Check(r TrafficResult, fast bool, readPct int) error {
 	return nil
 }
 
-func runE11(rc RunContext, res *metrics.Result) error {
-	k, _, err := resolveE11(rc)
-	if err != nil {
-		return err
-	}
-	readTimeout := sim.Time(k.readTimeout) * sim.Microsecond
+func runE11(rc RunContext, v KnobValues, res *metrics.Result) error {
+	readTimeout := sim.Time(v.Int("read_timeout_us")) * sim.Microsecond
 	// The batch sweep pins the read share at the mix sweep's highest —
 	// where the fast path has the most agreement work to remove.
-	topRead := k.readPcts[0]
-	for _, r := range k.readPcts[1:] {
-		if r > topRead {
-			topRead = r
-		}
-	}
+	topRead := slices.Max(v.Ints("read_pcts"))
 	base := func(kind transport.Kind, fast bool) TrafficConfig {
-		cfg := TrafficConfig{
-			Kind: kind,
-			N:    k.n, F: (k.n - 1) / 3,
-			Users: k.users, Conns: k.conns, Keys: k.keys,
-			ValueSize: k.valueBytes, Ops: k.ops, Warmup: k.warmup,
-			Zipf100: 99, Arrival: workload.Closed(k.window, 0),
-			Seed: rc.Seed, Trace: rc.Trace,
-		}
+		cfg := trafficBase(rc, v, kind)
+		cfg.Zipf100, cfg.Arrival = 99, workload.Closed(v.Int("window"), 0)
 		if fast {
 			cfg.ReadFastPath, cfg.ReadTimeout = true, readTimeout
 		}
@@ -226,7 +128,7 @@ func runE11(rc RunContext, res *metrics.Result) error {
 		for _, fast := range []bool{true, false} {
 			name := fmt.Sprintf("mix %s %s", fpLabel[fast], e8Label(kind))
 			ss := addE11Series(res, name, string(kind), "read_pct", fast)
-			for _, readPct := range k.readPcts {
+			for _, readPct := range v.Ints("read_pcts") {
 				cfg := base(kind, fast)
 				cfg.Mix = e9Mix(readPct, 0, 0)
 				r, err := RunTraffic(cfg, rc.Model)
@@ -245,7 +147,7 @@ func runE11(rc RunContext, res *metrics.Result) error {
 		for _, fast := range []bool{true, false} {
 			name := fmt.Sprintf("batch %s %s", fpLabel[fast], e8Label(kind))
 			ss := addE11Series(res, name, string(kind), "batch", fast)
-			for _, batch := range k.batches {
+			for _, batch := range v.Ints("batches") {
 				cfg := base(kind, fast)
 				cfg.Mix = e9Mix(topRead, 0, 0)
 				cfg.BatchSize = batch

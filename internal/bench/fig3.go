@@ -1,24 +1,7 @@
-// Package bench is the benchmark-suite subsystem: an experiment registry
-// regenerating the paper's evaluation and its extensions, with every
-// experiment emitting machine-readable results.
-//
-// Experiments E1–E9 register themselves (from their defining files' init
-// functions) as Experiment values: E1/E2 reproduce Figure 3 (transport
-// micro-benchmark), E3/E4 Figure 4 (RUBIN vs Java-NIO selector over the
-// Reptor communication stack), E5 the full replicated-system evaluation
-// the paper lists as future work, E6 ablations of the Section IV
-// optimizations, E7 agreement under a scripted fault timeline, and E8 the
-// scaling study (PBFT cluster size, Reptor COP parallelism, multi-client
-// load). Run executes one experiment under a RunContext (seed, quick
-// mode, cost model, knob overrides) and returns a validated
-// metrics.Result; cmd/benchsuite persists those as BENCH_<name>.json and
-// diffs them across runs. Knob names and the result schema are documented
-// in docs/EXPERIMENTS.md.
 package bench
 
 import (
 	"fmt"
-	"strconv"
 
 	"rubin/internal/fabric"
 	"rubin/internal/metrics"
@@ -52,12 +35,6 @@ type EchoConfig struct {
 	Warmup   int // unmeasured round trips
 	Window   int // outstanding messages (the paper streams 1000 msgs)
 	Seed     int64
-}
-
-// DefaultEchoConfig mirrors the paper's micro-benchmark: 1000 messages
-// exchanged per run with a small pipeline of outstanding requests.
-func DefaultEchoConfig(payload int) EchoConfig {
-	return EchoConfig{Payload: payload, Messages: 1000, Warmup: 50, Window: 3, Seed: 1}
 }
 
 // EchoResult is one measurement point.
@@ -94,61 +71,35 @@ func init() {
 		Name:   "E1",
 		Title:  "echo latency across transport stacks",
 		Figure: "Figure 3a",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveFig3(rc)
-			return cfg, err
-		},
-		Run: func(rc RunContext, res *metrics.Result) error {
-			return runFig3Suite(rc, res, true)
+		Knobs:  fig3Knobs,
+		Run: func(rc RunContext, v KnobValues, res *metrics.Result) error {
+			return runFig3Suite(rc, v, res, true)
 		},
 	})
 	Register(Experiment{
 		Name:   "E2",
 		Title:  "echo throughput across transport stacks",
 		Figure: "Figure 3b",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveFig3(rc)
-			return cfg, err
-		},
-		Run: func(rc RunContext, res *metrics.Result) error {
-			return runFig3Suite(rc, res, false)
+		Knobs:  fig3Knobs,
+		Run: func(rc RunContext, v KnobValues, res *metrics.Result) error {
+			return runFig3Suite(rc, v, res, false)
 		},
 	})
 }
 
-// fig3Knobs are the resolved parameters of one E1/E2 run.
-type fig3Knobs struct {
-	payloadsKB []int
-	messages   int
-	warmup     int
-	window     int
+// fig3Knobs is the knob table E1 and E2 share: the paper streams 1000
+// messages per run with a small pipeline of outstanding requests.
+var fig3Knobs = []Knob{
+	{"payloads_kb", "1,2,4,8,16,32,64,100", "1,16", 1, list},
+	{"messages", "1000", "150", 1, scalar},
+	{"warmup", "50", "20", 0, scalar},
+	{"window", "3", "", 1, scalar},
 }
 
-func resolveFig3(rc RunContext) (fig3Knobs, map[string]string, error) {
-	k := fig3Knobs{payloadsKB: []int{1, 2, 4, 8, 16, 32, 64, 100}, messages: 1000, warmup: 50, window: 3}
-	if rc.Quick {
-		k.payloadsKB, k.messages, k.warmup = []int{1, 16}, 150, 20
-	}
-	var err error
-	if k.payloadsKB, err = rc.intsKnob("payloads_kb", k.payloadsKB); err != nil {
-		return k, nil, err
-	}
-	if k.messages, err = rc.intKnob("messages", k.messages); err != nil {
-		return k, nil, err
-	}
-	if k.warmup, err = rc.intKnob("warmup", k.warmup); err != nil {
-		return k, nil, err
-	}
-	if k.window, err = rc.intKnob("window", k.window); err != nil {
-		return k, nil, err
-	}
-	cfg := map[string]string{
-		"payloads_kb": formatInts(k.payloadsKB),
-		"messages":    strconv.Itoa(k.messages),
-		"warmup":      strconv.Itoa(k.warmup),
-		"window":      strconv.Itoa(k.window),
-	}
-	return k, cfg, nil
+// echoConfig is the kb-payload point of an echo sweep (E1, E2, E6).
+func echoConfig(rc RunContext, v KnobValues, kb int) EchoConfig {
+	return EchoConfig{Payload: kb << 10, Messages: v.Int("messages"), Warmup: v.Int("warmup"),
+		Window: v.Int("window"), Seed: rc.Seed}
 }
 
 // fig3Transport labels the backend each Figure 3 series exercises.
@@ -161,11 +112,7 @@ func fig3Transport(stack Fig3Stack) string {
 
 // runFig3Suite sweeps all four stacks; latency selects Figure 3a (mean and
 // p99 round trip in µs), otherwise Figure 3b (closed-loop krps).
-func runFig3Suite(rc RunContext, res *metrics.Result, latency bool) error {
-	k, _, err := resolveFig3(rc)
-	if err != nil {
-		return err
-	}
+func runFig3Suite(rc RunContext, v KnobValues, res *metrics.Result, latency bool) error {
 	for _, stack := range Fig3Stacks() {
 		var mean, p99, tput *metrics.ResultSeries
 		if latency {
@@ -174,9 +121,8 @@ func runFig3Suite(rc RunContext, res *metrics.Result, latency bool) error {
 		} else {
 			tput = res.AddSeries(string(stack), metrics.MetricThroughput, "krps", fig3Transport(stack), "payload_kb")
 		}
-		for _, kb := range k.payloadsKB {
-			cfg := EchoConfig{Payload: kb << 10, Messages: k.messages, Warmup: k.warmup, Window: k.window, Seed: rc.Seed}
-			r, err := RunFig3(stack, cfg, rc.Model)
+		for _, kb := range v.Ints("payloads_kb") {
+			r, err := RunFig3(stack, echoConfig(rc, v, kb), rc.Model)
 			if err != nil {
 				return err
 			}

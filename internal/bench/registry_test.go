@@ -3,14 +3,16 @@ package bench
 import (
 	"bytes"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"rubin/internal/metrics"
 )
 
 // TestRegistryComplete asserts the suite registers E1–E12 plus the
-// ALLOC harness audit with full metadata, in numeric order (non-E names
-// sort first).
+// ALLOC harness audit with full metadata and knob tables whose defaults
+// resolve in both modes, in numeric order (non-E names sort first).
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"ALLOC", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"}
 	got := Experiments()
@@ -21,11 +23,19 @@ func TestRegistryComplete(t *testing.T) {
 		if e.Name != want[i] {
 			t.Errorf("experiment %d is %s, want %s", i, e.Name, want[i])
 		}
-		if e.Title == "" || e.Figure == "" || e.Params == nil || e.Run == nil {
+		if e.Title == "" || e.Figure == "" || len(e.Knobs) == 0 || e.Run == nil {
 			t.Errorf("%s: incomplete metadata %+v", e.Name, e)
 		}
 		if _, ok := Lookup(e.Name); !ok {
 			t.Errorf("Lookup(%s) failed", e.Name)
+		}
+		for _, quick := range []bool{false, true} {
+			v, err := e.Resolve(RunContext{Quick: quick})
+			if err != nil {
+				t.Errorf("%s defaults (quick=%v): %v", e.Name, quick, err)
+			} else if len(v) != len(e.Knobs) {
+				t.Errorf("%s defaults (quick=%v) resolve %d of %d knobs", e.Name, quick, len(v), len(e.Knobs))
+			}
 		}
 	}
 }
@@ -45,6 +55,27 @@ func TestRunRejectsUnknown(t *testing.T) {
 	rc.Knobs = map[string]string{"payloads_kb": "zero"}
 	if _, err := Run("E1", rc); err == nil {
 		t.Error("Run accepted malformed knob value")
+	}
+}
+
+// TestKnobsBelowMinimumRejected sets each knob of every registered
+// experiment one below its table minimum, and to the empty string, and
+// asserts Run refuses the run with an error naming the knob — a window
+// of 0 or a negative warmup must not produce a schema-valid file of
+// meaningless points.
+func TestKnobsBelowMinimumRejected(t *testing.T) {
+	for _, e := range Experiments() {
+		for _, k := range e.Knobs {
+			for _, value := range []string{strconv.Itoa(k.Min - 1), ""} {
+				rc := DefaultRunContext()
+				rc.Quick = true
+				rc.Knobs = map[string]string{k.Name: value}
+				_, err := Run(e.Name, rc)
+				if err == nil || !strings.Contains(err.Error(), "knob "+k.Name+"=") {
+					t.Errorf("%s %s=%q: got error %v, want one naming the knob", e.Name, k.Name, value, err)
+				}
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 
 	"rubin/internal/kvstore"
 	"rubin/internal/metrics"
@@ -35,20 +34,6 @@ type COPConfig struct {
 	// Trace, when non-nil, records spans and samples into the shared
 	// -trace tracer; nil still aggregates the latency breakdown.
 	Trace *obs.Tracer
-}
-
-// DefaultCOPConfig returns the 4-replica, 4-instance, single-client setup.
-func DefaultCOPConfig(kind transport.Kind, payload int) COPConfig {
-	return COPConfig{
-		Kind: kind, Payload: payload, Instances: 4,
-		Requests: 100, Warmup: 10, Window: 8, Batch: 8,
-		N: 4, F: 1, Clients: 1, Seed: 1,
-	}
-}
-
-// Label describes the group shape of this configuration.
-func (c COPConfig) Label() string {
-	return fmt.Sprintf("%d replicas, f=%d, K=%d, %d clients", c.N, c.F, c.Instances, c.Clients)
 }
 
 // COPResult is one measurement point of the parallelized system.
@@ -177,105 +162,28 @@ func init() {
 		Name:   "E8",
 		Title:  "scaling study: PBFT cluster size (N) and Reptor COP parallelism (K)",
 		Figure: "beyond the paper: COP (Behl et al., Middleware '15) scaling axis",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveE8(rc)
-			return cfg, err
+		Knobs: []Knob{
+			{"ns", "4,7,10", "4,7", 4, list},             // PBFT cluster sizes; f = (n-1)/3 each
+			{"ks", "1,2,4,8", "1,2", 1, list},            // COP instance counts on the cop_n group
+			{"payloads_kb", "1,16", "1", 1, list},        // PBFT-axis payload sweep
+			{"cop_payloads_kb", "1,16,64", "1", 1, list}, // COP-axis payloads (largest shows the crossover)
+			{"cop_n", "4", "", 4, scalar},                // 3f+1 with f >= 1
+			{"requests", "80", "30", 1, scalar},
+			{"warmup", "10", "5", 0, scalar},
+			{"window", "16", "", 1, scalar},
+			{"clients", "4", "2", 1, scalar},
+			{"batch", "8", "", 1, scalar},
+			{"hb_us", "100", "", 1, scalar},      // adaptive heartbeat floor, µs
+			{"hb_max_us", "4000", "", 1, scalar}, // adaptive heartbeat backoff ceiling, µs
+		},
+		Check: func(v KnobValues) error {
+			if v.Int("hb_max_us") < v.Int("hb_us") {
+				return fmt.Errorf("needs hb_us <= hb_max_us, got %d/%d", v.Int("hb_us"), v.Int("hb_max_us"))
+			}
+			return nil
 		},
 		Run: runE8,
 	})
-}
-
-// e8Knobs are the resolved parameters of one E8 run.
-type e8Knobs struct {
-	ns            []int // PBFT cluster sizes; f = (n-1)/3 each
-	ks            []int // COP instance counts on the copN-replica group
-	payloadsKB    []int // PBFT-axis payload sweep
-	copPayloadsKB []int // COP-axis payload sweep (largest shows the crossover)
-	copN          int
-	requests      int
-	warmup        int
-	window        int
-	clients       int
-	batch         int
-	hbUS          int // adaptive heartbeat floor, µs
-	hbMaxUS       int // adaptive heartbeat backoff ceiling, µs
-}
-
-func resolveE8(rc RunContext) (e8Knobs, map[string]string, error) {
-	k := e8Knobs{
-		ns: []int{4, 7, 10}, ks: []int{1, 2, 4, 8},
-		payloadsKB: []int{1, 16}, copPayloadsKB: []int{1, 16, 64},
-		copN: 4, requests: 80, warmup: 10, window: 16, clients: 4, batch: 8,
-		hbUS: 100, hbMaxUS: 4000,
-	}
-	if rc.Quick {
-		k.ns, k.ks = []int{4, 7}, []int{1, 2}
-		k.payloadsKB, k.copPayloadsKB = []int{1}, []int{1}
-		k.requests, k.warmup, k.clients = 30, 5, 2
-	}
-	var err error
-	if k.ns, err = rc.intsKnob("ns", k.ns); err != nil {
-		return k, nil, err
-	}
-	if k.ks, err = rc.intsKnob("ks", k.ks); err != nil {
-		return k, nil, err
-	}
-	if k.payloadsKB, err = rc.intsKnob("payloads_kb", k.payloadsKB); err != nil {
-		return k, nil, err
-	}
-	if k.copPayloadsKB, err = rc.intsKnob("cop_payloads_kb", k.copPayloadsKB); err != nil {
-		return k, nil, err
-	}
-	if k.copN, err = rc.intKnob("cop_n", k.copN); err != nil {
-		return k, nil, err
-	}
-	if k.requests, err = rc.intKnob("requests", k.requests); err != nil {
-		return k, nil, err
-	}
-	if k.warmup, err = rc.intKnob("warmup", k.warmup); err != nil {
-		return k, nil, err
-	}
-	if k.window, err = rc.intKnob("window", k.window); err != nil {
-		return k, nil, err
-	}
-	if k.clients, err = rc.intKnob("clients", k.clients); err != nil {
-		return k, nil, err
-	}
-	if k.batch, err = rc.intKnob("batch", k.batch); err != nil {
-		return k, nil, err
-	}
-	if k.hbUS, err = rc.intKnob("hb_us", k.hbUS); err != nil {
-		return k, nil, err
-	}
-	if k.hbMaxUS, err = rc.intKnob("hb_max_us", k.hbMaxUS); err != nil {
-		return k, nil, err
-	}
-	for _, n := range k.ns {
-		if n < 4 {
-			return k, nil, fmt.Errorf("bench: E8 needs N >= 4 (3f+1), got %d", n)
-		}
-	}
-	if k.copN < 4 {
-		return k, nil, fmt.Errorf("bench: E8 needs cop_n >= 4 (3f+1), got %d", k.copN)
-	}
-	if k.hbUS < 1 || k.hbMaxUS < k.hbUS {
-		return k, nil, fmt.Errorf("bench: E8 needs 1 <= hb_us <= hb_max_us, got %d/%d", k.hbUS, k.hbMaxUS)
-	}
-	cfg := map[string]string{
-		"ns":              formatInts(k.ns),
-		"ks":              formatInts(k.ks),
-		"payloads_kb":     formatInts(k.payloadsKB),
-		"cop_payloads_kb": formatInts(k.copPayloadsKB),
-		"cop_n":           strconv.Itoa(k.copN),
-		"requests":        strconv.Itoa(k.requests),
-		"warmup":          strconv.Itoa(k.warmup),
-		"window":          strconv.Itoa(k.window),
-		"clients":         strconv.Itoa(k.clients),
-		"batch":           strconv.Itoa(k.batch),
-		"hb_us":           strconv.Itoa(k.hbUS),
-		"hb_max_us":       strconv.Itoa(k.hbMaxUS),
-	}
-	return k, cfg, nil
 }
 
 // e8Transports are the two backends every E8 sweep runs on.
@@ -289,24 +197,22 @@ func e8Label(kind transport.Kind) string {
 	return "NIO"
 }
 
-func runE8(rc RunContext, res *metrics.Result) error {
-	k, _, err := resolveE8(rc)
-	if err != nil {
-		return err
-	}
+func runE8(rc RunContext, v KnobValues, res *metrics.Result) error {
+	requests, warmup, window := v.Int("requests"), v.Int("warmup"), v.Int("window")
+	batch, clients, copN := v.Int("batch"), v.Int("clients"), v.Int("cop_n")
 	// Axis 1: PBFT agreement vs cluster size (f scales with N).
 	for _, kind := range e8Transports {
-		for _, kb := range k.payloadsKB {
+		for _, kb := range v.Ints("payloads_kb") {
 			name := fmt.Sprintf("PBFT %s %dKB", e8Label(kind), kb)
 			mean := res.AddSeries(name, metrics.MetricLatencyMean, "us", string(kind), "replicas")
 			p99 := res.AddSeries(name, metrics.MetricLatencyP99, "us", string(kind), "replicas")
 			tput := res.AddSeries(name, metrics.MetricThroughput, "req/s", string(kind), "replicas")
 			bd := addBreakdownSeries(res, name, string(kind), "replicas")
-			for _, n := range k.ns {
+			for _, n := range v.Ints("ns") {
 				cfg := BFTConfig{
 					Kind: kind, Payload: kb << 10,
-					Requests: k.requests, Warmup: k.warmup, Window: k.window,
-					Batch: k.batch, N: n, F: (n - 1) / 3, Clients: k.clients,
+					Requests: requests, Warmup: warmup, Window: window,
+					Batch: batch, N: n, F: (n - 1) / 3, Clients: clients,
 					Seed: rc.Seed, Trace: rc.Trace,
 				}
 				r, err := RunBFT(cfg, rc.Model)
@@ -326,7 +232,7 @@ func runE8(rc RunContext, res *metrics.Result) error {
 	// adaptive/batched heartbeat keeps the merge's hole-filling cost from
 	// growing with K.
 	for _, kind := range e8Transports {
-		for _, kb := range k.copPayloadsKB {
+		for _, kb := range v.Ints("cop_payloads_kb") {
 			name := fmt.Sprintf("COP %s %dKB", e8Label(kind), kb)
 			mean := res.AddSeries(name, metrics.MetricLatencyMean, "us", string(kind), "instances")
 			p99 := res.AddSeries(name, metrics.MetricLatencyP99, "us", string(kind), "instances")
@@ -335,14 +241,14 @@ func runE8(rc RunContext, res *metrics.Result) error {
 			cpu := res.AddSeries(name, metrics.MetricLeaderCPU, "utilization", string(kind), "instances")
 			bd := addBreakdownSeries(res, name, string(kind), "instances")
 			mw := res.AddSeries(name, metrics.MetricMergeWait, "us", string(kind), "instances")
-			for _, ki := range k.ks {
+			for _, ki := range v.Ints("ks") {
 				cfg := COPConfig{
 					Kind: kind, Instances: ki, Payload: kb << 10,
-					Requests: k.requests, Warmup: k.warmup, Window: k.window,
-					Batch: k.batch, N: k.copN, F: (k.copN - 1) / 3, Clients: k.clients,
+					Requests: requests, Warmup: warmup, Window: window,
+					Batch: batch, N: copN, F: (copN - 1) / 3, Clients: clients,
 					Seed:           rc.Seed,
-					HeartbeatDelay: sim.Time(k.hbUS) * sim.Microsecond,
-					HeartbeatMax:   sim.Time(k.hbMaxUS) * sim.Microsecond,
+					HeartbeatDelay: sim.Time(v.Int("hb_us")) * sim.Microsecond,
+					HeartbeatMax:   sim.Time(v.Int("hb_max_us")) * sim.Microsecond,
 					Trace:          rc.Trace,
 				}
 				r, err := RunCOP(cfg, rc.Model)

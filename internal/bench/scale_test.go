@@ -7,9 +7,19 @@ import (
 	"rubin/internal/transport"
 )
 
+// bftConfig returns E5's default 4-replica, f=1, single-client setup
+// at payload bytes.
+func bftConfig(kind transport.Kind, payload int) BFTConfig {
+	return BFTConfig{
+		Kind: kind, Payload: payload,
+		Requests: 150, Warmup: 20, Window: 16, Batch: 8,
+		N: 4, F: 1, Clients: 1, Seed: 1,
+	}
+}
+
 // quickBFTN returns a small closed-loop config for an N-replica cluster.
 func quickBFTN(kind transport.Kind, n int) BFTConfig {
-	cfg := DefaultBFTConfig(kind, 1<<10)
+	cfg := bftConfig(kind, 1<<10)
 	cfg.N, cfg.F = n, (n-1)/3
 	cfg.Requests, cfg.Warmup = 40, 5
 	cfg.Clients = 2
@@ -45,7 +55,7 @@ func TestBFTScalesWithN(t *testing.T) {
 // TestBFTMultiClientAddsLoad asserts the closed-loop client count is a real
 // load axis: two clients commit more requests per second than one.
 func TestBFTMultiClientAddsLoad(t *testing.T) {
-	one := DefaultBFTConfig(transport.KindRDMA, 1<<10)
+	one := bftConfig(transport.KindRDMA, 1<<10)
 	one.Requests, one.Warmup, one.Window = 60, 10, 8
 	two := one
 	two.Clients = 2
@@ -64,11 +74,11 @@ func TestBFTMultiClientAddsLoad(t *testing.T) {
 }
 
 func quickCOP(kind transport.Kind, k int) COPConfig {
-	cfg := DefaultCOPConfig(kind, 1<<10)
-	cfg.Instances = k
-	cfg.Requests, cfg.Warmup = 40, 5
-	cfg.Clients = 2
-	return cfg
+	return COPConfig{
+		Kind: kind, Payload: 1 << 10, Instances: k,
+		Requests: 40, Warmup: 5, Window: 8, Batch: 8,
+		N: 4, F: 1, Clients: 2, Seed: 1,
+	}
 }
 
 // TestCOPInstanceSweep asserts the K axis of E8 is measurable at every

@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
+	"slices"
 
 	"rubin/internal/kvstore"
 	"rubin/internal/metrics"
@@ -208,141 +208,59 @@ func init() {
 		Name:   "E10",
 		Title:  "shard scale-out: committed throughput vs shard count and cross-shard transaction share",
 		Figure: "beyond the paper: keyspace partitioning over independent consensus groups with 2PC-over-consensus",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveE10(rc)
-			return cfg, err
+		// The full-mode load (users, conns) is sized to saturate a single
+		// group with headroom for eight: the scaling curve must measure
+		// the shards, not the client pool. 16 routers keep the front-end
+		// off the critical path up to S=8.
+		Knobs: []Knob{
+			{"shards", "1,2,4,8", "1,2", 1, list},     // shard counts of the scaling sweep
+			{"cross_pcts", "0,1,10", "0,10", 0, list}, // cross-shard transaction shares, percent
+			{"n", "4", "", 4, scalar},                 // 3f+1 with f >= 1, per shard
+			{"users", "512", "24", 1, scalar},
+			{"conns", "16", "2", 1, scalar},
+			{"keys", "256", "64", 2, scalar}, // every shard owns >= 2 keys; see Check
+			{"ops", "1500", "60", 1, scalar},
+			{"warmup", "150", "10", 0, scalar},
+			{"value_bytes", "128", "", 0, scalar},
+			{"window", "1", "", 1, scalar}, // closed-loop outstanding per user
+			{"read_pct", "40", "", 0, scalar},
+			{"scan_pct", "5", "", 0, scalar},
+			{"delete_pct", "5", "", 0, scalar},
+			{"txn_pct", "20", "", 1, scalar},
 		},
-		Run: runE10,
+		Check: checkE10,
+		Run:   runE10,
 	})
 }
 
-// e10Knobs are the resolved parameters of one E10 run.
-type e10Knobs struct {
-	shards     []int // shard counts of the scaling sweep
-	crossPcts  []int // cross-shard transaction shares, percent
-	n          int
-	users      int
-	conns      int
-	keys       int
-	ops        int
-	warmup     int
-	valueBytes int
-	window     int // closed-loop outstanding per user
-	readPct    int
-	scanPct    int
-	deletePct  int
-	txnPct     int
-}
-
-func resolveE10(rc RunContext) (e10Knobs, map[string]string, error) {
-	// The full-mode load (users, conns) is sized to saturate a single
-	// group with headroom for eight: the scaling curve must measure the
-	// shards, not the client pool. 16 routers keep the front-end off the
-	// critical path up to S=8.
-	k := e10Knobs{
-		shards:    []int{1, 2, 4, 8},
-		crossPcts: []int{0, 1, 10},
-		n:         4, users: 512, conns: 16, keys: 256,
-		ops: 1500, warmup: 150, valueBytes: 128, window: 1,
-		readPct: 40, scanPct: 5, deletePct: 5, txnPct: 20,
+func checkE10(v KnobValues) error {
+	if err := checkConns(v); err != nil {
+		return err
 	}
-	if rc.Quick {
-		k.shards, k.crossPcts = []int{1, 2}, []int{0, 10}
-		k.users, k.conns, k.keys = 24, 2, 64
-		k.ops, k.warmup = 60, 10
+	mix := e10Mix(v)
+	if mix.WritePct < 0 {
+		return fmt.Errorf("mix read=%d + scan=%d + delete=%d + txn=%d exceeds 100",
+			mix.ReadPct, mix.ScanPct, mix.DeletePct, mix.TxnPct)
 	}
-	var err error
-	if k.shards, err = rc.intsKnob("shards", k.shards); err != nil {
-		return k, nil, err
-	}
-	if k.crossPcts, err = rc.nonNegIntsKnob("cross_pcts", k.crossPcts); err != nil {
-		return k, nil, err
-	}
-	if k.n, err = rc.intKnob("n", k.n); err != nil {
-		return k, nil, err
-	}
-	if k.users, err = rc.intKnob("users", k.users); err != nil {
-		return k, nil, err
-	}
-	if k.conns, err = rc.intKnob("conns", k.conns); err != nil {
-		return k, nil, err
-	}
-	if k.keys, err = rc.intKnob("keys", k.keys); err != nil {
-		return k, nil, err
-	}
-	if k.ops, err = rc.intKnob("ops", k.ops); err != nil {
-		return k, nil, err
-	}
-	if k.warmup, err = rc.intKnob("warmup", k.warmup); err != nil {
-		return k, nil, err
-	}
-	if k.valueBytes, err = rc.intKnob("value_bytes", k.valueBytes); err != nil {
-		return k, nil, err
-	}
-	if k.window, err = rc.intKnob("window", k.window); err != nil {
-		return k, nil, err
-	}
-	if k.readPct, err = rc.intKnob("read_pct", k.readPct); err != nil {
-		return k, nil, err
-	}
-	if k.scanPct, err = rc.intKnob("scan_pct", k.scanPct); err != nil {
-		return k, nil, err
-	}
-	if k.deletePct, err = rc.intKnob("delete_pct", k.deletePct); err != nil {
-		return k, nil, err
-	}
-	if k.txnPct, err = rc.intKnob("txn_pct", k.txnPct); err != nil {
-		return k, nil, err
-	}
-	if k.n < 4 {
-		return k, nil, fmt.Errorf("bench: E10 needs n >= 4 (3f+1), got %d", k.n)
-	}
-	if k.users < k.conns || k.conns < 1 {
-		return k, nil, fmt.Errorf("bench: E10 needs 1 <= conns <= users, got %d/%d", k.conns, k.users)
-	}
-	if k.window < 1 {
-		return k, nil, fmt.Errorf("bench: E10 needs window >= 1, got %d", k.window)
-	}
-	if k.readPct < 0 || k.scanPct < 0 || k.deletePct < 0 || k.txnPct < 1 {
-		return k, nil, fmt.Errorf("bench: E10 mix shares must be non-negative with txn_pct >= 1")
-	}
-	if k.readPct+k.scanPct+k.deletePct+k.txnPct > 100 {
-		return k, nil, fmt.Errorf("bench: E10 mix read=%d + scan=%d + delete=%d + txn=%d exceeds 100",
-			k.readPct, k.scanPct, k.deletePct, k.txnPct)
-	}
-	maxShards := 0
-	for _, s := range k.shards {
-		if s > maxShards {
-			maxShards = s
-		}
-	}
-	for _, c := range k.crossPcts {
+	for _, c := range v.Ints("cross_pcts") {
 		if c > 100 {
-			return k, nil, fmt.Errorf("bench: E10 cross-shard share %d%% out of range", c)
+			return fmt.Errorf("cross-shard share %d%% out of range", c)
 		}
 	}
 	// Every shard of the largest deployment must own at least two keys
 	// (see shardPools); fail at knob time, not mid-sweep.
-	if _, err := shardPools(k.keys, maxShards); err != nil {
-		return k, nil, err
+	_, err := shardPools(v.Int("keys"), slices.Max(v.Ints("shards")))
+	return err
+}
+
+// e10Mix is the operation mix the knobs set; writes take the remainder.
+func e10Mix(v KnobValues) workload.Mix {
+	m := workload.Mix{
+		ReadPct: v.Int("read_pct"), ScanPct: v.Int("scan_pct"),
+		DeletePct: v.Int("delete_pct"), TxnPct: v.Int("txn_pct"),
 	}
-	cfg := map[string]string{
-		"shards":      formatInts(k.shards),
-		"cross_pcts":  formatInts(k.crossPcts),
-		"n":           strconv.Itoa(k.n),
-		"users":       strconv.Itoa(k.users),
-		"conns":       strconv.Itoa(k.conns),
-		"keys":        strconv.Itoa(k.keys),
-		"ops":         strconv.Itoa(k.ops),
-		"warmup":      strconv.Itoa(k.warmup),
-		"value_bytes": strconv.Itoa(k.valueBytes),
-		"window":      strconv.Itoa(k.window),
-		"read_pct":    strconv.Itoa(k.readPct),
-		"scan_pct":    strconv.Itoa(k.scanPct),
-		"delete_pct":  strconv.Itoa(k.deletePct),
-		"txn_pct":     strconv.Itoa(k.txnPct),
-	}
-	return k, cfg, nil
+	m.WritePct = 100 - m.ReadPct - m.ScanPct - m.DeletePct - m.TxnPct
+	return m
 }
 
 // e10Series bundles the series one E10 sweep combo reports: the
@@ -390,28 +308,20 @@ func (s e10Series) observe(x float64, r ShardTrafficResult) {
 	s.peakQ.Add(x, float64(r.PeakQueueBytes))
 }
 
-func runE10(rc RunContext, res *metrics.Result) error {
-	k, _, err := resolveE10(rc)
-	if err != nil {
-		return err
-	}
-	mix := workload.Mix{
-		ReadPct: k.readPct, ScanPct: k.scanPct,
-		DeletePct: k.deletePct, TxnPct: k.txnPct,
-	}
-	mix.WritePct = 100 - k.readPct - k.scanPct - k.deletePct - k.txnPct
+func runE10(rc RunContext, v KnobValues, res *metrics.Result) error {
+	mix := e10Mix(v)
 	for _, kind := range e8Transports {
-		for _, cross := range k.crossPcts {
+		for _, cross := range v.Ints("cross_pcts") {
 			name := fmt.Sprintf("scale cross=%d%% %s", cross, e8Label(kind))
 			ss := addE10Series(res, name, string(kind), "shards")
-			for _, shards := range k.shards {
+			for _, shards := range v.Ints("shards") {
 				cfg := ShardTrafficConfig{
 					Kind: kind, Shards: shards,
-					N: k.n, F: (k.n - 1) / 3,
-					Users: k.users, Conns: k.conns, Keys: k.keys,
-					ValueSize: k.valueBytes, Ops: k.ops, Warmup: k.warmup,
+					N: v.Int("n"), F: (v.Int("n") - 1) / 3,
+					Users: v.Int("users"), Conns: v.Int("conns"), Keys: v.Int("keys"),
+					ValueSize: v.Int("value_bytes"), Ops: v.Int("ops"), Warmup: v.Int("warmup"),
 					Mix: mix, CrossPct: cross,
-					Arrival: workload.Closed(k.window, 0),
+					Arrival: workload.Closed(v.Int("window"), 0),
 					Seed:    rc.Seed, Trace: rc.Trace,
 				}
 				r, err := RunShardTraffic(cfg, rc.Model)

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"rubin/internal/auth"
 	"rubin/internal/chaos"
@@ -43,11 +41,6 @@ type StateSizeConfig struct {
 	Window  int   // client-side outstanding requests
 	Seed    int64 // simulation seed
 	Full    bool  // legacy full-snapshot checkpoints + transfer (baseline)
-}
-
-// DefaultStateSizeConfig returns the standard E12 single-run setup.
-func DefaultStateSizeConfig(kind transport.Kind) StateSizeConfig {
-	return StateSizeConfig{Kind: kind, Prefill: 8000, Payload: 64, Window: 8, Seed: 1}
 }
 
 // StateSizeResult is one E12 run: one transport, one prefill size, one
@@ -255,44 +248,17 @@ func init() {
 		Name:   "E12",
 		Title:  "Checkpoint and recovery cost vs state size (incremental + partial transfer vs full)",
 		Figure: "beyond the paper: state-transfer amplification study",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, _, cfg, err := resolveE12(rc)
-			return cfg, err
+		Knobs: []Knob{
+			{"prefills", "2000,8000,32000", "500,2000", 1, list},
+			{"payload", "64", "", 1, scalar},
+			{"window", "8", "", 1, scalar},
 		},
 		Run: runE12,
 	})
 }
 
-func resolveE12(rc RunContext) ([]int, StateSizeConfig, map[string]string, error) {
-	base := DefaultStateSizeConfig(transport.KindRDMA)
-	base.Seed = rc.Seed
-	prefills := []int{2000, 8000, 32000}
-	if rc.Quick {
-		prefills = []int{500, 2000}
-	}
-	var err error
-	if prefills, err = rc.intsKnob("prefills", prefills); err != nil {
-		return nil, base, nil, err
-	}
-	if base.Payload, err = rc.intKnob("payload", base.Payload); err != nil {
-		return nil, base, nil, err
-	}
-	if base.Window, err = rc.intKnob("window", base.Window); err != nil {
-		return nil, base, nil, err
-	}
-	cfg := map[string]string{
-		"prefills": formatInts(prefills),
-		"payload":  strconv.Itoa(base.Payload),
-		"window":   strconv.Itoa(base.Window),
-	}
-	return prefills, base, cfg, nil
-}
-
-func runE12(rc RunContext, res *metrics.Result) error {
-	prefills, base, _, err := resolveE12(rc)
-	if err != nil {
-		return err
-	}
+func runE12(rc RunContext, v KnobValues, res *metrics.Result) error {
+	base := StateSizeConfig{Payload: v.Int("payload"), Window: v.Int("window"), Seed: rc.Seed}
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
 		for _, full := range []bool{false, true} {
 			mode := "partial"
@@ -308,7 +274,7 @@ func runE12(rc RunContext, res *metrics.Result) error {
 			stateS := res.AddSeries(name, metrics.MetricStateBytes, "bytes", tr, "prefill_keys")
 			tputS := res.AddSeries(name, metrics.MetricThroughput, "req/s", tr, "prefill_keys")
 			dipS := res.AddSeries(name, metrics.MetricThroughputDip, "ratio", tr, "prefill_keys")
-			for _, prefill := range prefills {
+			for _, prefill := range v.Ints("prefills") {
 				cfg := base
 				cfg.Kind = kind
 				cfg.Full = full
@@ -335,22 +301,4 @@ func runE12(rc RunContext, res *metrics.Result) error {
 	res.SetConfig("cluster", fmt.Sprintf("%d replicas, f=%d", pbft.DefaultConfig().N, pbft.DefaultConfig().F))
 	res.SetConfig("modes", "partial=incremental checkpoints + Merkle partial transfer, full=legacy whole-snapshot baseline")
 	return nil
-}
-
-// Render formats one E12 run as text.
-func (r StateSizeResult) Render() string {
-	mode := "partial"
-	if r.Full {
-		mode = "full"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# E12: state-size run (%s, %s, %d cold keys, %d-byte state)\n",
-		r.Kind, mode, r.Prefill, r.StateBytes)
-	fmt.Fprintf(&b, "steady checkpoints: %d x %d bytes (pause %v)\n",
-		r.SteadyCheckpoints, r.SteadyCheckpointBytes, r.CheckpointPause)
-	fmt.Fprintf(&b, "recovery: %v after %d transfer bytes (%d adoptions)\n",
-		r.Recovery, r.TransferBytes, r.StateTransfers)
-	fmt.Fprintf(&b, "throughput: healthy %.0f req/s, recovered %.0f req/s (%d committed)\n",
-		r.HealthyTput, r.RecoveredTput, r.Committed)
-	return b.String()
 }

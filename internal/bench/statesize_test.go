@@ -11,10 +11,7 @@ import (
 // quickStateSize shrinks the prefill so a single run is cheap while the
 // crash/restart arc and both transfer modes stay exercised.
 func quickStateSize(kind transport.Kind, full bool) StateSizeConfig {
-	cfg := DefaultStateSizeConfig(kind)
-	cfg.Prefill = 1000
-	cfg.Full = full
-	return cfg
+	return StateSizeConfig{Kind: kind, Prefill: 1000, Payload: 64, Window: 8, Seed: 1, Full: full}
 }
 
 // TestStateSizeRecoveryBothModes asserts the E12 arc completes in both

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 
 	"rubin/internal/kvstore"
 	"rubin/internal/metrics"
@@ -287,140 +286,57 @@ func init() {
 		Name:   "E9",
 		Title:  "traffic study: arrival rate, key skew and operation mix under a linearizability oracle",
 		Figure: "beyond the paper: YCSB-style open/closed-loop workloads over the replicated system",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveE9(rc)
-			return cfg, err
+		Knobs: []Knob{
+			{"rates", "3000,8000,16000", "1500", 1, list}, // open-loop arrival rates, ops/s
+			{"skews", "0,90,99", "99", 0, list},           // Zipf theta x100; 0 = uniform
+			{"read_pcts", "0,45,90", "50", 0, list},       // read shares of the mix sweep
+			{"ks", "1,4", "1", 1, list},                   // COP instance counts (PBFT always runs too)
+			{"n", "4", "", 4, scalar},                     // 3f+1 with f >= 1
+			{"users", "96", "24", 1, scalar},
+			{"conns", "4", "2", 1, scalar},
+			{"keys", "128", "32", 10, scalar},
+			{"ops", "300", "60", 1, scalar},
+			{"warmup", "30", "10", 0, scalar},
+			{"value_bytes", "128", "", 0, scalar},
+			{"window", "1", "", 1, scalar}, // closed-loop outstanding per user
+			{"scan_pct", "5", "", 0, scalar},
+			{"delete_pct", "5", "", 0, scalar},
+			{"burst_us", "2000", "0", 0, scalar}, // on/off half-period of the burst sweep; 0 disables it
 		},
-		Run: runE9,
+		Check: checkE9,
+		Run:   runE9,
 	})
 }
 
-// e9Knobs are the resolved parameters of one E9 run.
-type e9Knobs struct {
-	rates      []int // open-loop arrival rates, ops/s
-	skews      []int // Zipf theta ×100; 0 = uniform
-	readPcts   []int // read shares of the mix sweep
-	ks         []int // COP instance counts (PBFT always runs too)
-	n          int
-	users      int
-	conns      int
-	keys       int
-	ops        int
-	warmup     int
-	valueBytes int
-	window     int // closed-loop outstanding per user
-	scanPct    int
-	deletePct  int
-	burstUS    int // on/off half-period of the burst sweep; 0 disables it
-}
-
-func resolveE9(rc RunContext) (e9Knobs, map[string]string, error) {
-	k := e9Knobs{
-		rates:    []int{3000, 8000, 16000},
-		skews:    []int{0, 90, 99},
-		readPcts: []int{0, 45, 90},
-		ks:       []int{1, 4},
-		n:        4, users: 96, conns: 4, keys: 128,
-		ops: 300, warmup: 30, valueBytes: 128, window: 1,
-		scanPct: 5, deletePct: 5, burstUS: 2000,
+func checkE9(v KnobValues) error {
+	if err := checkConns(v); err != nil {
+		return err
 	}
-	if rc.Quick {
-		k.rates, k.skews, k.readPcts = []int{1500}, []int{99}, []int{50}
-		k.ks = []int{1}
-		k.users, k.conns, k.keys = 24, 2, 32
-		k.ops, k.warmup = 60, 10
-		k.burstUS = 0
-	}
-	var err error
-	if k.rates, err = rc.intsKnob("rates", k.rates); err != nil {
-		return k, nil, err
-	}
-	if k.skews, err = rc.nonNegIntsKnob("skews", k.skews); err != nil {
-		return k, nil, err
-	}
-	if k.readPcts, err = rc.nonNegIntsKnob("read_pcts", k.readPcts); err != nil {
-		return k, nil, err
-	}
-	if k.ks, err = rc.intsKnob("ks", k.ks); err != nil {
-		return k, nil, err
-	}
-	if k.n, err = rc.intKnob("n", k.n); err != nil {
-		return k, nil, err
-	}
-	if k.users, err = rc.intKnob("users", k.users); err != nil {
-		return k, nil, err
-	}
-	if k.conns, err = rc.intKnob("conns", k.conns); err != nil {
-		return k, nil, err
-	}
-	if k.keys, err = rc.intKnob("keys", k.keys); err != nil {
-		return k, nil, err
-	}
-	if k.ops, err = rc.intKnob("ops", k.ops); err != nil {
-		return k, nil, err
-	}
-	if k.warmup, err = rc.intKnob("warmup", k.warmup); err != nil {
-		return k, nil, err
-	}
-	if k.valueBytes, err = rc.intKnob("value_bytes", k.valueBytes); err != nil {
-		return k, nil, err
-	}
-	if k.window, err = rc.intKnob("window", k.window); err != nil {
-		return k, nil, err
-	}
-	if k.scanPct, err = rc.intKnob("scan_pct", k.scanPct); err != nil {
-		return k, nil, err
-	}
-	if k.deletePct, err = rc.intKnob("delete_pct", k.deletePct); err != nil {
-		return k, nil, err
-	}
-	if k.burstUS, err = rc.intKnob("burst_us", k.burstUS); err != nil {
-		return k, nil, err
-	}
-	if k.n < 4 {
-		return k, nil, fmt.Errorf("bench: E9 needs n >= 4 (3f+1), got %d", k.n)
-	}
-	if k.users < k.conns || k.conns < 1 {
-		return k, nil, fmt.Errorf("bench: E9 needs 1 <= conns <= users, got %d/%d", k.conns, k.users)
-	}
-	if k.window < 1 || k.keys < 10 || k.burstUS < 0 {
-		return k, nil, fmt.Errorf("bench: E9 needs window >= 1, keys >= 10 and burst_us >= 0")
-	}
-	for _, s := range k.skews {
+	for _, s := range v.Ints("skews") {
 		if s >= 100 {
-			return k, nil, fmt.Errorf("bench: E9 skews are Zipf theta x100 in [0, 100), got %d", s)
+			return fmt.Errorf("skews are Zipf theta x100 in [0, 100), got %d", s)
 		}
-	}
-	if k.scanPct < 0 || k.deletePct < 0 {
-		return k, nil, fmt.Errorf("bench: E9 needs scan_pct/delete_pct >= 0, got %d/%d", k.scanPct, k.deletePct)
 	}
 	// Every read share the sweeps use — the read_pcts axis and the fixed
 	// e9MidRead of the rate/burst/skew sweeps — must leave the mix a
 	// valid percentage split.
-	for _, r := range append([]int{e9MidRead}, k.readPcts...) {
-		if r+k.scanPct+k.deletePct > 100 {
-			return k, nil, fmt.Errorf("bench: E9 mix read=%d + scan=%d + delete=%d exceeds 100",
-				r, k.scanPct, k.deletePct)
+	scan, del := v.Int("scan_pct"), v.Int("delete_pct")
+	for _, r := range append([]int{e9MidRead}, v.Ints("read_pcts")...) {
+		if r+scan+del > 100 {
+			return fmt.Errorf("mix read=%d + scan=%d + delete=%d exceeds 100", r, scan, del)
 		}
 	}
-	cfg := map[string]string{
-		"rates":       formatInts(k.rates),
-		"skews":       formatInts(k.skews),
-		"read_pcts":   formatInts(k.readPcts),
-		"ks":          formatInts(k.ks),
-		"n":           strconv.Itoa(k.n),
-		"users":       strconv.Itoa(k.users),
-		"conns":       strconv.Itoa(k.conns),
-		"keys":        strconv.Itoa(k.keys),
-		"ops":         strconv.Itoa(k.ops),
-		"warmup":      strconv.Itoa(k.warmup),
-		"value_bytes": strconv.Itoa(k.valueBytes),
-		"window":      strconv.Itoa(k.window),
-		"scan_pct":    strconv.Itoa(k.scanPct),
-		"delete_pct":  strconv.Itoa(k.deletePct),
-		"burst_us":    strconv.Itoa(k.burstUS),
+	return nil
+}
+
+// checkConns enforces the client-pool rule of the workload experiments
+// (E9, E10, E11): users share the connections, so there are no more
+// connections than users.
+func checkConns(v KnobValues) error {
+	if v.Int("conns") > v.Int("users") {
+		return fmt.Errorf("needs 1 <= conns <= users, got %d/%d", v.Int("conns"), v.Int("users"))
 	}
-	return k, cfg, nil
+	return nil
 }
 
 // e9System is one system-under-test of the E9 sweeps.
@@ -488,24 +404,30 @@ func (s e9Series) observe(x float64, r TrafficResult) {
 	}
 }
 
-func runE9(rc RunContext, res *metrics.Result) error {
-	k, _, err := resolveE9(rc)
-	if err != nil {
-		return err
+// trafficBase is the TrafficConfig the workload experiments (E9, E11)
+// share across every sweep point: the cluster shape, client pool and
+// keyspace their knobs set.
+func trafficBase(rc RunContext, v KnobValues, kind transport.Kind) TrafficConfig {
+	return TrafficConfig{
+		Kind: kind,
+		N:    v.Int("n"), F: (v.Int("n") - 1) / 3,
+		Users: v.Int("users"), Conns: v.Int("conns"), Keys: v.Int("keys"),
+		ValueSize: v.Int("value_bytes"), Ops: v.Int("ops"), Warmup: v.Int("warmup"),
+		Seed: rc.Seed, Trace: rc.Trace,
 	}
+}
+
+func runE9(rc RunContext, v KnobValues, res *metrics.Result) error {
 	systems := []e9System{{"PBFT", 0}}
-	for _, ki := range k.ks {
+	for _, ki := range v.Ints("ks") {
 		systems = append(systems, e9System{fmt.Sprintf("COP-%d", ki), ki})
 	}
 	base := func(kind transport.Kind, sys e9System) TrafficConfig {
-		return TrafficConfig{
-			Kind: kind, Instances: sys.instances,
-			N: k.n, F: (k.n - 1) / 3,
-			Users: k.users, Conns: k.conns, Keys: k.keys,
-			ValueSize: k.valueBytes, Ops: k.ops, Warmup: k.warmup,
-			Seed: rc.Seed, Trace: rc.Trace,
-		}
+		cfg := trafficBase(rc, v, kind)
+		cfg.Instances = sys.instances
+		return cfg
 	}
+	scan, del, window := v.Int("scan_pct"), v.Int("delete_pct"), v.Int("window")
 	// Sweep 1 (+2): open-loop arrival rate, Poisson — and, when enabled,
 	// the same rates as on/off bursts — at fixed skew and mix.
 	type arrivalSweep struct {
@@ -515,8 +437,8 @@ func runE9(rc RunContext, res *metrics.Result) error {
 	sweeps := []arrivalSweep{
 		{"rate", func(rate int) workload.Arrival { return workload.Poisson(float64(rate)) }},
 	}
-	if k.burstUS > 0 {
-		burst := sim.Time(k.burstUS) * sim.Microsecond
+	if burstUS := v.Int("burst_us"); burstUS > 0 {
+		burst := sim.Time(burstUS) * sim.Microsecond
 		sweeps = append(sweeps, arrivalSweep{"burst", func(rate int) workload.Arrival {
 			return workload.Bursts(float64(rate), burst, burst)
 		}})
@@ -526,9 +448,9 @@ func runE9(rc RunContext, res *metrics.Result) error {
 			for _, sys := range systems {
 				name := fmt.Sprintf("%s %s %s", sweep.prefix, sys.label, e8Label(kind))
 				ss := addE9Series(res, name, string(kind), "rate_ops_s", sys.instances > 0)
-				for _, rate := range k.rates {
+				for _, rate := range v.Ints("rates") {
 					cfg := base(kind, sys)
-					cfg.Mix = e9Mix(e9MidRead, k.scanPct, k.deletePct)
+					cfg.Mix = e9Mix(e9MidRead, scan, del)
 					cfg.Zipf100 = 99
 					cfg.Arrival = sweep.arrival(rate)
 					r, err := RunTraffic(cfg, rc.Model)
@@ -545,11 +467,11 @@ func runE9(rc RunContext, res *metrics.Result) error {
 		for _, sys := range systems {
 			name := fmt.Sprintf("skew %s %s", sys.label, e8Label(kind))
 			ss := addE9Series(res, name, string(kind), "zipf_theta_x100", sys.instances > 0)
-			for _, skew := range k.skews {
+			for _, skew := range v.Ints("skews") {
 				cfg := base(kind, sys)
-				cfg.Mix = e9Mix(e9MidRead, k.scanPct, k.deletePct)
+				cfg.Mix = e9Mix(e9MidRead, scan, del)
 				cfg.Zipf100 = skew
-				cfg.Arrival = workload.Closed(k.window, 0)
+				cfg.Arrival = workload.Closed(window, 0)
 				r, err := RunTraffic(cfg, rc.Model)
 				if err != nil {
 					return fmt.Errorf("skew=%d %s %s: %w", skew, sys.label, kind, err)
@@ -563,11 +485,11 @@ func runE9(rc RunContext, res *metrics.Result) error {
 		for _, sys := range systems {
 			name := fmt.Sprintf("mix %s %s", sys.label, e8Label(kind))
 			ss := addE9Series(res, name, string(kind), "read_pct", sys.instances > 0)
-			for _, readPct := range k.readPcts {
+			for _, readPct := range v.Ints("read_pcts") {
 				cfg := base(kind, sys)
-				cfg.Mix = e9Mix(readPct, k.scanPct, k.deletePct)
+				cfg.Mix = e9Mix(readPct, scan, del)
 				cfg.Zipf100 = 99
-				cfg.Arrival = workload.Closed(k.window, 0)
+				cfg.Arrival = workload.Closed(window, 0)
 				r, err := RunTraffic(cfg, rc.Model)
 				if err != nil {
 					return fmt.Errorf("read_pct=%d %s %s: %w", readPct, sys.label, kind, err)

@@ -302,8 +302,8 @@ func ReadResultFile(path string) (*Result, error) {
 }
 
 // Tables renders the result as human-readable text tables, one per
-// distinct (metric, x-axis) pair in series order — the presentation the
-// cmd/ binaries print alongside the JSON. Series measuring the same
+// distinct (metric, x-axis) pair in series order — the presentation
+// cmd/benchsuite prints alongside the JSON. Series measuring the same
 // metric over different x-axes (e.g. E8's replica and instance sweeps)
 // land in separate tables rather than being interleaved on one axis.
 func (r *Result) Tables() []*Table {

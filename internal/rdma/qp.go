@@ -268,7 +268,7 @@ func (qp *QP) pumpSend() {
 	if len(wr.Inline) > 0 {
 		payload = append([]byte(nil), wr.Inline...)
 	} else if wr.Op != OpRead {
-		payload = append([]byte(nil), wr.MR.buf[wr.Offset:wr.Offset+wr.Length]...)
+		payload = wr.MR.ReadBytes(wr.Offset, wr.Length)
 	}
 
 	// NIC engine work: descriptor processing plus the DMA read of the

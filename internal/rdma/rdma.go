@@ -170,10 +170,17 @@ type PD struct {
 // Device returns the owning device.
 func (pd *PD) Device() *Device { return pd.dev }
 
-// MR is a registered memory region with real backing bytes.
+// mrPageSize is the granularity at which a region's backing memory
+// exists. A region is sparse: a page is allocated the first time a write
+// touches it, and reads of untouched pages see zeros, so registering a
+// large pool costs only the bytes actually carried through it.
+const mrPageSize = 4096
+
+// MR is a registered memory region backed by sparse, page-granular bytes.
 type MR struct {
 	pd     *PD
-	buf    []byte
+	size   int
+	pages  []*[mrPageSize]byte
 	lkey   uint32
 	rkey   uint32
 	access Access
@@ -188,7 +195,8 @@ func (pd *PD) RegisterMR(size int, access Access, ready func()) *MR {
 	dev := pd.dev
 	mr := &MR{
 		pd:     pd,
-		buf:    make([]byte, size),
+		size:   size,
+		pages:  make([]*[mrPageSize]byte, (size+mrPageSize-1)/mrPageSize),
 		lkey:   dev.nextKey,
 		rkey:   dev.nextKey + 1,
 		access: access,
@@ -213,11 +221,55 @@ func (mr *MR) Deregister() {
 	}
 }
 
-// Bytes exposes the region's backing memory.
-func (mr *MR) Bytes() []byte { return mr.buf }
+// WriteAt copies p into the region starting at off, like copy into a
+// slice of the region: bytes past the region's end are dropped.
+func (mr *MR) WriteAt(p []byte, off int) {
+	if off > mr.size {
+		panic(fmt.Sprintf("rdma: MR write at %d beyond length %d", off, mr.size))
+	}
+	p = p[:min(len(p), mr.size-off)]
+	for len(p) > 0 {
+		pg := mr.pages[off/mrPageSize]
+		if pg == nil {
+			pg = new([mrPageSize]byte)
+			mr.pages[off/mrPageSize] = pg
+		}
+		n := copy(pg[off%mrPageSize:], p)
+		p, off = p[n:], off+n
+	}
+}
+
+// ReadAt fills p with the region's bytes starting at off; never-written
+// pages read as zeros. The range must lie inside the region.
+func (mr *MR) ReadAt(p []byte, off int) {
+	if off < 0 || off+len(p) > mr.size {
+		panic(fmt.Sprintf("rdma: MR read [%d,%d) beyond length %d", off, off+len(p), mr.size))
+	}
+	for len(p) > 0 {
+		var n int
+		if pg := mr.pages[off/mrPageSize]; pg != nil {
+			n = copy(p, pg[off%mrPageSize:])
+		} else {
+			n = min(len(p), mrPageSize-off%mrPageSize)
+			clear(p[:n])
+		}
+		p, off = p[n:], off+n
+	}
+}
+
+// ReadBytes returns a fresh copy of the n bytes starting at off (nil
+// when n is 0).
+func (mr *MR) ReadBytes(off, n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	b := make([]byte, n)
+	mr.ReadAt(b, off)
+	return b
+}
 
 // Len returns the region size.
-func (mr *MR) Len() int { return len(mr.buf) }
+func (mr *MR) Len() int { return mr.size }
 
 // RKey returns the remote key a peer needs for one-sided access.
 func (mr *MR) RKey() uint32 { return mr.rkey }

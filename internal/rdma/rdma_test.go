@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"rubin/internal/fabric"
@@ -104,7 +105,7 @@ func TestSendRecvTransfersData(t *testing.T) {
 	recvMR := r.pb.RegisterMR(4096, AccessLocalWrite, nil)
 
 	msg := bytes.Repeat([]byte{0xAB}, 2048)
-	copy(sendMR.Bytes(), msg)
+	sendMR.WriteAt(msg, 0)
 
 	var recvCQE, sendCQE *CQE
 	r.loop.At(0, func() {
@@ -133,7 +134,7 @@ func TestSendRecvTransfersData(t *testing.T) {
 	if sendCQE == nil || sendCQE.Status != StatusOK || sendCQE.WRID != 2 {
 		t.Fatalf("bad send CQE: %+v", sendCQE)
 	}
-	if !bytes.Equal(recvMR.Bytes()[:2048], msg) {
+	if !bytes.Equal(recvMR.ReadBytes(0, 2048), msg) {
 		t.Fatal("payload corrupted in flight")
 	}
 	if r.qpA.Sent() != 1 || r.qpB.Received() != 1 {
@@ -173,7 +174,7 @@ func TestInlineSendDeliversAndRejectsOversize(t *testing.T) {
 		}
 	})
 	r.loop.Run()
-	if !bytes.Equal(recvMR.Bytes()[:len(payload)], payload) {
+	if !bytes.Equal(recvMR.ReadBytes(0, len(payload)), payload) {
 		t.Fatal("inline payload corrupted")
 	}
 }
@@ -182,7 +183,7 @@ func TestRNRNakAndRetryDelivers(t *testing.T) {
 	r := newRig(t)
 	sendMR := r.pa.RegisterMR(1024, AccessLocalWrite, nil)
 	recvMR := r.pb.RegisterMR(1024, AccessLocalWrite, nil)
-	copy(sendMR.Bytes(), "retry me")
+	sendMR.WriteAt([]byte("retry me"), 0)
 	r.loop.Post(func() {
 		// No receive posted yet: first attempt draws an RNR NAK.
 		_ = r.qpA.PostSend(&SendWR{ID: 1, Op: OpSend, MR: sendMR, Length: 8, Signaled: true})
@@ -199,7 +200,7 @@ func TestRNRNakAndRetryDelivers(t *testing.T) {
 	if len(cqes) != 1 || cqes[0].Status != StatusOK {
 		t.Fatalf("send did not complete after retry: %+v", cqes)
 	}
-	if string(recvMR.Bytes()[:8]) != "retry me" {
+	if string(recvMR.ReadBytes(0, 8)) != "retry me" {
 		t.Fatal("payload corrupted across retry")
 	}
 }
@@ -256,7 +257,7 @@ func TestOneSidedWrite(t *testing.T) {
 	r := newRig(t)
 	local := r.pa.RegisterMR(1024, AccessLocalWrite, nil)
 	remote := r.pb.RegisterMR(1024, AccessLocalWrite|AccessRemoteWrite, nil)
-	copy(local.Bytes(), "one-sided write")
+	local.WriteAt([]byte("one-sided write"), 0)
 
 	r.loop.At(0, func() {
 		err := r.qpA.PostSend(&SendWR{
@@ -268,7 +269,7 @@ func TestOneSidedWrite(t *testing.T) {
 		}
 	})
 	r.loop.Run()
-	if string(remote.Bytes()[100:115]) != "one-sided write" {
+	if string(remote.ReadBytes(100, 15)) != "one-sided write" {
 		t.Fatal("write did not land in remote memory")
 	}
 	cqes := r.cqA.Poll(16)
@@ -340,7 +341,7 @@ func TestOneSidedRead(t *testing.T) {
 	r := newRig(t)
 	local := r.pa.RegisterMR(1024, AccessLocalWrite, nil)
 	remote := r.pb.RegisterMR(1024, AccessLocalWrite|AccessRemoteRead, nil)
-	copy(remote.Bytes()[200:], "read me remotely")
+	remote.WriteAt([]byte("read me remotely"), 200)
 
 	r.loop.At(0, func() {
 		err := r.qpA.PostSend(&SendWR{
@@ -352,8 +353,8 @@ func TestOneSidedRead(t *testing.T) {
 		}
 	})
 	r.loop.Run()
-	if string(local.Bytes()[8:24]) != "read me remotely" {
-		t.Fatalf("read data wrong: %q", local.Bytes()[8:24])
+	if got := local.ReadBytes(8, 16); string(got) != "read me remotely" {
+		t.Fatalf("read data wrong: %q", got)
 	}
 	cqes := r.cqA.Poll(16)
 	if len(cqes) != 1 || cqes[0].Status != StatusOK || cqes[0].Op != OpRead || cqes[0].Bytes != 16 {
@@ -466,7 +467,7 @@ func TestManyMessagesArriveInOrder(t *testing.T) {
 			_ = r.qpB.PostRecv(RecvWR{ID: uint64(i), MR: recvMR, Offset: i, Length: 1})
 		}
 		for i := 0; i < n; i++ {
-			sendMR.Bytes()[i] = byte(i)
+			sendMR.WriteAt([]byte{byte(i)}, i)
 			if err := r.qpA.PostSend(&SendWR{ID: uint64(i), Op: OpSend, MR: sendMR, Offset: i, Length: 1, Signaled: i == n-1}); err != nil {
 				t.Errorf("PostSend %d: %v", i, err)
 			}
@@ -491,7 +492,7 @@ func TestManyMessagesArriveInOrder(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if recvMR.Bytes()[i] != byte(i) {
+		if recvMR.ReadBytes(i, 1)[0] != byte(i) {
 			t.Fatalf("data order broken at %d", i)
 		}
 	}
@@ -572,6 +573,46 @@ func TestMRRegistrationChargesCPU(t *testing.T) {
 	if ready < base {
 		t.Fatalf("1MB registration completed at %v, want >= %v", ready, base)
 	}
+}
+
+func TestMRIsSparse(t *testing.T) {
+	loop := sim.NewLoop(1)
+	nw := fabric.New(loop, model.Default())
+	pd := OpenDevice(nw.AddNode("a")).AllocPD()
+
+	// Registering a RUBIN-sized pool must not allocate its nominal size.
+	const regions, size = 64, 32 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	mrs := make([]*MR, regions)
+	for i := range mrs {
+		mrs[i] = pd.RegisterMR(size, AccessLocalWrite, nil)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("registering %d x %d MB allocated %d MB", regions, size>>20, grew>>20)
+	}
+
+	// A write straddling a page boundary reads back intact; untouched
+	// bytes around it read as zeros; writes past the end are dropped.
+	mr := mrs[0]
+	msg := bytes.Repeat([]byte("xyz"), 3000)
+	mr.WriteAt(msg, mrPageSize-5)
+	if got := mr.ReadBytes(mrPageSize-5, len(msg)); !bytes.Equal(got, msg) {
+		t.Fatal("straddling write corrupted")
+	}
+	if got := mr.ReadBytes(0, 16); !bytes.Equal(got, make([]byte, 16)) {
+		t.Fatalf("untouched bytes read %v, want zeros", got)
+	}
+	if got := mr.ReadBytes(size-8, 8); !bytes.Equal(got, make([]byte, 8)) {
+		t.Fatalf("untouched tail read %v, want zeros", got)
+	}
+	mr.WriteAt([]byte("0123456789"), size-4)
+	if got := string(mr.ReadBytes(size-4, 4)); got != "0123" {
+		t.Fatalf("tail write read back %q, want %q", got, "0123")
+	}
+	runtime.KeepAlive(mrs)
 }
 
 func TestOpcodeAndStatusStrings(t *testing.T) {

@@ -153,7 +153,7 @@ func (qp *QP) finishRecv(msg *wireMsg) {
 		}
 		qp.recvQ = qp.recvQ[1:]
 		qp.rxExpected = msg.psn + 1
-		copy(wr.MR.buf[wr.Offset:], msg.data)
+		wr.MR.WriteAt(msg.data, wr.Offset)
 		qp.received++
 		qp.dev.sendsRx++
 		qp.dev.node.NIC.Delay(p.CQEGenerate)
@@ -168,7 +168,7 @@ func (qp *QP) finishRecv(msg *wireMsg) {
 			qp.reply(&wireMsg{kind: wireNakAccess, psn: msg.psn})
 			return
 		}
-		copy(mr.buf[msg.roffset:], msg.data)
+		mr.WriteAt(msg.data, msg.roffset)
 		qp.dev.writesRx++
 		// One-sided: no receive CQE, no CPU involvement; just the ack.
 		qp.reply(&wireMsg{kind: wireAck, psn: msg.psn})
@@ -182,7 +182,7 @@ func (qp *QP) finishRecv(msg *wireMsg) {
 			return
 		}
 		qp.dev.readsRx++
-		data := append([]byte(nil), mr.buf[msg.roffset:msg.roffset+msg.length]...)
+		data := mr.ReadBytes(msg.roffset, msg.length)
 		resp := &wireMsg{kind: wireReadResp, psn: msg.psn, wrid: msg.wrid, data: data}
 		resp.dstQPN = msg.srcQPN
 		resp.srcQPN = qp.num
@@ -273,7 +273,7 @@ func (qp *QP) handleReadResp(msg *wireMsg) {
 	p := qp.dev.params.RDMA
 	// The local NIC DMA-writes the returned data into the WR's region.
 	qp.dev.node.NIC.Acquire(p.NICProcess+model.KB(p.DMAPerKB, len(msg.data)), func() {
-		copy(wr.MR.buf[wr.Offset:], msg.data)
+		wr.MR.WriteAt(msg.data, wr.Offset)
 		if entry != nil {
 			delete(qp.pending, msg.psn)
 			qp.outstanding--
