@@ -15,9 +15,12 @@ import (
 // allocs/op grow more than 10% past the baseline (plus a fixed 0.25
 // slack so an exact-zero baseline still tolerates AllocsPerRun's
 // truncation jitter) fails here instead of silently shipping. It also
-// pins the headline bounds of the hot-path pass on the baseline file
-// itself: whole-message sends at most 1 alloc/op and auth MACs exactly
-// zero, so a regenerated file cannot quietly relax the claim.
+// pins the headline bounds of the hot-path passes on the baseline file
+// itself, so a regenerated file cannot quietly relax a claim: whole-message
+// sends at most 1 alloc/op, auth MACs exactly zero, one allocation per
+// message delivered over either transport backend (the copy the receiver
+// owns), one per envelope decode, and at most two per pre-prepare or
+// kvstore bucket encode.
 func TestAllocRegressionCheckedIn(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun is meaningless under the race detector")
@@ -29,6 +32,18 @@ func TestAllocRegressionCheckedIn(t *testing.T) {
 	if base.Experiment != "ALLOC" {
 		t.Fatalf("experiment %q, want ALLOC", base.Experiment)
 	}
+	headline := map[string]float64{
+		"transport tcp deliver":   1,
+		"transport rdma deliver":  1,
+		"pbft envelope decode":    1,
+		"pbft pre-prepare encode": 2,
+		"kvstore bucket encode":   2,
+	}
+	for name := range headline {
+		if base.GetSeries(name, metrics.MetricAllocsPerOp) == nil {
+			t.Errorf("baseline lacks series %q", name)
+		}
+	}
 	for _, s := range base.Series {
 		for _, p := range s.Points {
 			switch {
@@ -36,6 +51,8 @@ func TestAllocRegressionCheckedIn(t *testing.T) {
 				t.Errorf("baseline %q at %v bytes: %.2f allocs/op, want <= 1", s.Name, p.X, p.Y)
 			case s.Name == "auth mac" && p.Y != 0:
 				t.Errorf("baseline %q at n=%v: %.2f allocs/op, want 0", s.Name, p.X, p.Y)
+			case headline[s.Name] != 0 && p.Y > headline[s.Name]:
+				t.Errorf("baseline %q at x=%v: %.2f allocs/op, want <= %v", s.Name, p.X, p.Y, headline[s.Name])
 			}
 		}
 	}

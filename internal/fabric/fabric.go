@@ -56,16 +56,6 @@ type Network struct {
 	loop   *sim.Loop
 	params model.Params
 	nodes  map[string]*Node
-	links  map[linkKey]*Link
-}
-
-type linkKey struct{ a, b string }
-
-func orderedKey(a, b string) linkKey {
-	if a < b {
-		return linkKey{a, b}
-	}
-	return linkKey{b, a}
 }
 
 // New creates an empty network on the given loop.
@@ -74,7 +64,6 @@ func New(loop *sim.Loop, params model.Params) *Network {
 		loop:   loop,
 		params: params,
 		nodes:  make(map[string]*Node),
-		links:  make(map[linkKey]*Link),
 	}
 }
 
@@ -96,6 +85,7 @@ func (nw *Network) AddNode(name string) *Node {
 		CPU:      sim.NewResource(nw.loop, name+"/cpu", nw.params.Host.Cores),
 		NIC:      sim.NewResource(nw.loop, name+"/nic", nw.params.Host.NICEngines),
 		handlers: make(map[Protocol]Handler),
+		links:    make(map[*Node]*Link),
 	}
 	nw.nodes[name] = n
 	return n
@@ -110,25 +100,20 @@ func (nw *Network) Connect(a, b *Node) *Link {
 	if a == b {
 		panic("fabric: cannot link a node to itself")
 	}
-	key := orderedKey(a.name, b.name)
-	if l, ok := nw.links[key]; ok {
+	if l, ok := a.links[b]; ok {
 		return l
 	}
-	l := &Link{
-		net:    nw,
-		a:      a,
-		b:      b,
-		params: nw.params.Link,
-		ab:     sim.NewResource(nw.loop, a.name+"->"+b.name, 1),
-		ba:     sim.NewResource(nw.loop, b.name+"->"+a.name, 1),
-	}
-	nw.links[key] = l
+	l := &Link{net: nw, a: a, b: b, params: nw.params.Link}
+	l.ab.init(nw.loop, a.name+"->"+b.name)
+	l.ba.init(nw.loop, b.name+"->"+a.name)
+	a.links[b] = l
+	b.links[a] = l
 	return l
 }
 
 // Link returns the link between two nodes, or nil if they are not connected.
 func (nw *Network) Link(a, b *Node) *Link {
-	return nw.links[orderedKey(a.name, b.name)]
+	return a.links[b]
 }
 
 // Send serializes a payload onto the link from one node to another and
@@ -164,6 +149,7 @@ type Node struct {
 	NIC *sim.Resource
 
 	handlers map[Protocol]Handler
+	links    map[*Node]*Link // by peer; Send's lookup, keyed by pointer
 }
 
 // Name returns the node's unique name.
@@ -221,16 +207,11 @@ type Link struct {
 	net    *Network
 	a, b   *Node
 	params model.LinkParams
-	ab, ba *sim.Resource // one serialization server per direction
+	ab, ba lane
 
 	drop   DropFunc
 	faults LinkFaults
 	held   []heldFrame
-
-	// lastArrival tracks the latest scheduled delivery time per direction
-	// so jittered frames cannot overtake earlier ones.
-	lastArrivalAB sim.Time
-	lastArrivalBA sim.Time
 
 	// Stats per link (both directions combined).
 	frames  uint64
@@ -279,18 +260,65 @@ func (l *Link) Dropped() uint64 { return l.dropped }
 // Held returns the number of frames currently queued on a down link.
 func (l *Link) Held() int { return len(l.held) }
 
-func (l *Link) direction(from *Node) *sim.Resource {
+func (l *Link) direction(from *Node) *lane {
 	if from == l.a {
-		return l.ab
+		return &l.ab
 	}
-	return l.ba
+	return &l.ba
 }
 
-func (l *Link) lastArrival(from *Node) *sim.Time {
-	if from == l.a {
-		return &l.lastArrivalAB
+// lane is one direction of a link. Its serialization server is a
+// one-server FIFO and its arrival times never decrease (a frame never
+// overtakes an earlier one), so frames finish serializing, and arrive, in
+// the order they were sent. The lane therefore keeps its frames in two
+// FIFOs and drives both stages with callbacks built once, where a closure
+// per frame and stage would do the same work with two allocations.
+type lane struct {
+	loop *sim.Loop
+	ser  *sim.Resource
+	// lastArrival is the latest scheduled delivery time, so jittered
+	// frames cannot overtake earlier ones.
+	lastArrival sim.Time
+	serializing sim.FIFO[laneFrame] // frames on the serialization server
+	inFlight    sim.FIFO[laneFrame] // frames propagating, in arrival order
+	serialized  func()
+	arrived     func()
+}
+
+// laneFrame is a frame in a lane's pipeline; at is its propagation delay
+// until it leaves serialization, then its arrival time.
+type laneFrame struct {
+	from, to  *Node
+	proto     Protocol
+	payload   any
+	wireBytes int
+	at        sim.Time
+}
+
+func (ln *lane) init(loop *sim.Loop, name string) {
+	ln.loop = loop
+	ln.ser = sim.NewResource(loop, name, 1)
+	ln.serialized = ln.onSerialized
+	ln.arrived = ln.onArrived
+}
+
+func (ln *lane) onSerialized() {
+	f := ln.serializing.Pop()
+	at := ln.loop.Now() + f.at
+	if at < ln.lastArrival {
+		at = ln.lastArrival // FIFO: never overtake an earlier frame
 	}
-	return &l.lastArrivalBA
+	ln.lastArrival = at
+	f.at = at
+	ln.inFlight.Push(f)
+	ln.loop.At(at, ln.arrived)
+}
+
+func (ln *lane) onArrived() {
+	f := ln.inFlight.Pop()
+	if h := f.to.handlers[f.proto]; h != nil {
+		h(f.from, f.payload, f.wireBytes)
+	}
 }
 
 func (l *Link) transmit(from, to *Node, proto Protocol, payload any, wireBytes int) {
@@ -315,18 +343,7 @@ func (l *Link) transmit(from, to *Node, proto Protocol, payload any, wireBytes i
 	if l.faults.Jitter > 0 {
 		prop += sim.Time(l.net.loop.Rand().Int63n(int64(l.faults.Jitter)))
 	}
-	loop := l.net.loop
-	last := l.lastArrival(from)
-	l.direction(from).Acquire(ser, func() {
-		at := loop.Now() + prop
-		if at < *last {
-			at = *last // FIFO: never overtake an earlier frame
-		}
-		*last = at
-		loop.At(at, func() {
-			if h := to.handlers[proto]; h != nil {
-				h(from, payload, wireBytes)
-			}
-		})
-	})
+	ln := l.direction(from)
+	ln.serializing.Push(laneFrame{from: from, to: to, proto: proto, payload: payload, wireBytes: wireBytes, at: prop})
+	ln.ser.Acquire(ser, ln.serialized)
 }

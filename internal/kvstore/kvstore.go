@@ -55,7 +55,7 @@ type Store struct {
 	// slices are never mutated after creation and never aliased into
 	// other caches: encodeBucket builds a fresh slice, MarshalState
 	// copies bucket encodings into its own buffer, and setBucket copies
-	// the incoming encoding.
+	// the incoming encoding. MarshalPartition hands them out shared.
 	bucketEnc [MerkleBuckets][]byte
 	bucketDig [MerkleBuckets]auth.Digest
 	bucketMod [MerkleBuckets]uint64
@@ -358,7 +358,11 @@ func (s *Store) encodePrepared() []byte {
 // is safe.
 func (s *Store) MarshalState() []byte {
 	if s.marshaled == nil {
-		buf := binary.BigEndian.AppendUint64(nil, s.applied)
+		size := 8 + 4 + len(s.preparedBytes())
+		for i := range s.buckets {
+			size += len(s.bucketBytes(i))
+		}
+		buf := binary.BigEndian.AppendUint64(make([]byte, 0, size), s.applied)
 		buf = binary.BigEndian.AppendUint32(buf, MerkleBuckets)
 		for i := range s.buckets {
 			buf = append(buf, s.bucketBytes(i)...)

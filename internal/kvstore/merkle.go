@@ -61,16 +61,16 @@ func (s *Store) CheckpointDelta(since uint64) []int {
 }
 
 // MarshalPartition serializes one bucket in canonical form — pair count,
-// then the pairs in sorted key order (pbft.PartitionedState). The result
-// is a fresh copy; auth.Hash of it equals the bucket's leaf digest.
+// then the pairs in sorted key order (pbft.PartitionedState); auth.Hash
+// of it equals the bucket's leaf digest. The result is the bucket's cached
+// encoding, shared rather than copied: cached encodings are never written
+// after creation (a mutation replaces the slot), so it stays valid for as
+// long as the caller retains it. Callers must not modify it.
 func (s *Store) MarshalPartition(part int) []byte {
 	if part < 0 || part >= MerkleBuckets {
 		return nil
 	}
-	enc := s.bucketBytes(part)
-	out := make([]byte, len(enc))
-	copy(out, enc)
-	return out
+	return s.bucketBytes(part)
 }
 
 // MarshalHeader serializes the non-partitioned remainder of the state:
@@ -148,7 +148,8 @@ func (s *Store) ApplyPartition(part int, data []byte) error {
 
 // setBucket installs a decoded bucket map plus its already-canonical
 // encoding, refreshing size and caches. The encoding is copied so the
-// cache cannot alias a caller-retained network buffer.
+// cache cannot alias a caller-retained buffer, which MarshalPartition
+// would then hand out as the store's own.
 func (s *Store) setBucket(part int, m map[string]string, enc []byte) {
 	s.size += len(m) - len(s.buckets[part])
 	s.buckets[part] = m
@@ -295,11 +296,13 @@ func (s *Store) bucketBytes(i int) []byte {
 // encodeBucket serializes one bucket map in canonical form.
 func encodeBucket(m map[string]string) []byte {
 	keys := make([]string, 0, len(m))
-	for k := range m {
+	size := 4
+	for k, v := range m {
 		keys = append(keys, k)
+		size += 4 + len(k) + 4 + len(v)
 	}
 	sort.Strings(keys)
-	buf := binary.BigEndian.AppendUint32(nil, uint32(len(keys)))
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(keys)))
 	for _, k := range keys {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(k)))
 		buf = append(buf, k...)

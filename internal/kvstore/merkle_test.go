@@ -211,11 +211,13 @@ func TestMarshalStateCopiesDoNotAlias(t *testing.T) {
 	}
 
 	// And the reverse direction: installing a partition must not keep a
-	// reference to the caller's buffer.
+	// reference to the caller's buffer. MarshalPartition's result is
+	// shared with src and must not be modified, so the caller's buffer
+	// is a copy of it.
 	src := New()
 	k := keyInBucket(t, "alias", 3)
 	src.Execute(EncodeOp(OpPut, k, "clean"))
-	buf := src.MarshalPartition(3)
+	buf := bytes.Clone(src.MarshalPartition(3))
 	dst := New()
 	if err := dst.ApplyPartition(3, buf); err != nil {
 		t.Fatal(err)

@@ -26,6 +26,7 @@ import (
 
 	"rubin/internal/fabric"
 	"rubin/internal/obs"
+	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
 
@@ -138,10 +139,25 @@ type Mesh struct {
 	peers  []*Peer
 	tracer *obs.Tracer
 
-	// Free lists shared by this mesh's peers (see pool.go): frame
-	// buffers classed by power-of-two capacity, and send-queue items.
-	bufFree  [bufClasses][][]byte
-	itemFree []*outItem
+	// Free lists shared by this mesh's peers: frame buffers, and
+	// send-queue items.
+	bufs  sim.BufPool
+	items sim.FreeList[*outItem]
+}
+
+// getItem returns a zeroed outItem, recycled when available.
+func (m *Mesh) getItem() *outItem {
+	if it, ok := m.items.Get(); ok {
+		return it
+	}
+	return &outItem{}
+}
+
+// putItem clears an item and returns it to the free list. The item's msg
+// buffer is recycled separately, into bufs.
+func (m *Mesh) putItem(it *outItem) {
+	*it = outItem{}
+	m.items.Put(it)
 }
 
 // NewMesh opens a messaging endpoint of the requested backend kind on a

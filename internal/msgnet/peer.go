@@ -144,7 +144,10 @@ func (p *Peer) RecvErrors() uint64 { return p.recvErrs }
 // OnMessage installs the delivery callback, receiving each reassembled
 // message with its traffic class. Messages arriving before a callback is
 // installed queue internally, so a restarted consumer can re-attach
-// without loss.
+// without loss. A delivered message is the payload of the transport's
+// buffer or a reassembly buffer of its own, so it falls under the
+// transport's ownership contract (transport.Conn.OnMessage): the receiver
+// may retain it and nobody modifies it.
 func (p *Peer) OnMessage(fn func(class Class, msg []byte)) {
 	p.onMsg = fn
 	for len(p.inbox) > 0 && p.onMsg != nil {
@@ -218,7 +221,7 @@ func (p *Peer) Send(class Class, msg []byte) error {
 	// themselves, so the pump slices frames out instead of re-encoding
 	// and a steady-state Send allocates nothing.
 	it := p.mesh.getItem()
-	it.msg = p.mesh.getBuf(framed)
+	it.msg = p.mesh.bufs.Get(framed)
 	if count > 0 {
 		chunk := p.mesh.opts.chunkPayload()
 		stride := chunkHeaderLen + chunk
@@ -291,7 +294,7 @@ func (p *Peer) pump() {
 			// buffer-ownership rules in docs/ARCHITECTURE.md), so the
 			// completed item's buffer recycles immediately — even when
 			// the send failed.
-			p.mesh.putBuf(fin.msg)
+			p.mesh.bufs.Put(fin.msg)
 			p.mesh.putItem(fin)
 		}
 		if err != nil {
@@ -414,7 +417,7 @@ func (p *Peer) connClosed() {
 			if it == nil {
 				break
 			}
-			p.mesh.putBuf(it.msg)
+			p.mesh.bufs.Put(it.msg)
 			p.mesh.putItem(it)
 		}
 	}

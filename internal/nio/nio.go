@@ -43,15 +43,22 @@ type Selector struct {
 	stack    *tcpsim.Stack
 	keys     []*SelectionKey
 	handler  func([]*SelectionKey)
-	ready    map[*SelectionKey]struct{}
+	nready   int  // keys with selected set
 	dispatch bool // a dispatch is already scheduled
+
+	// batch is the dispatch's ready-key slice, reused across batches;
+	// dispatchFn is the dispatch callback, built once.
+	batch      []*SelectionKey
+	dispatchFn func()
 
 	wakeups uint64
 }
 
 // NewSelector creates a selector bound to a node's TCP stack.
 func NewSelector(stack *tcpsim.Stack) *Selector {
-	return &Selector{stack: stack, ready: make(map[*SelectionKey]struct{})}
+	s := &Selector{stack: stack}
+	s.dispatchFn = s.dispatchBatch
+	return s
 }
 
 // Stack returns the underlying TCP stack.
@@ -93,23 +100,33 @@ func (s *Selector) Select(handler func(keys []*SelectionKey)) {
 // SelectNow returns the currently ready keys without waiting and clears
 // the pending set.
 func (s *Selector) SelectNow() []*SelectionKey {
-	keys := s.takeReady()
-	return keys
+	return s.takeReady(nil)
 }
 
-func (s *Selector) takeReady() []*SelectionKey {
-	if len(s.ready) == 0 {
+// takeReady appends the selected keys to dst[:0] in registration order
+// (deterministic) and clears the selected set. It returns nil when no
+// key is selected.
+func (s *Selector) takeReady(dst []*SelectionKey) []*SelectionKey {
+	if s.nready == 0 {
 		return nil
 	}
-	keys := make([]*SelectionKey, 0, len(s.ready))
-	// Deterministic order: iterate registration list, not the map.
+	keys := dst[:0]
 	for _, k := range s.keys {
-		if _, ok := s.ready[k]; ok && !k.canceled {
+		if k.selected {
+			k.selected = false
 			keys = append(keys, k)
 		}
 	}
-	s.ready = make(map[*SelectionKey]struct{})
+	s.nready = 0
 	return keys
+}
+
+// selectKey adds a key to the selected set.
+func (s *Selector) selectKey(k *SelectionKey) {
+	if !k.selected {
+		k.selected = true
+		s.nready++
+	}
 }
 
 // enqueue marks a key ready and schedules a dispatch batch.
@@ -117,33 +134,38 @@ func (s *Selector) enqueue(k *SelectionKey) {
 	if k.canceled {
 		return
 	}
-	s.ready[k] = struct{}{}
+	s.selectKey(k)
 	s.pump()
 }
 
 func (s *Selector) pump() {
-	if s.handler == nil || s.dispatch || len(s.ready) == 0 {
+	if s.handler == nil || s.dispatch || s.nready == 0 {
 		return
 	}
 	s.dispatch = true
 	// The epoll_wait return + key scan cost of the Java selector.
 	params := s.stack.Node().Network().Params()
-	s.stack.Node().CPU.Acquire(params.Selector.NIODispatch, func() {
-		s.dispatch = false
-		keys := s.takeReady()
-		if len(keys) == 0 || s.handler == nil {
-			return
+	s.stack.Node().CPU.Acquire(params.Selector.NIODispatch, s.dispatchFn)
+}
+
+// dispatchBatch runs one scheduled dispatch: the handler sees every key
+// selected since the last batch.
+func (s *Selector) dispatchBatch() {
+	s.dispatch = false
+	keys := s.takeReady(s.batch)
+	if len(keys) == 0 || s.handler == nil {
+		return
+	}
+	s.batch = keys
+	s.wakeups++
+	s.handler(keys)
+	// Keys whose readiness was not consumed re-enter the set.
+	for _, k := range keys {
+		if !k.canceled && k.ready&k.interest != 0 {
+			s.selectKey(k)
 		}
-		s.wakeups++
-		s.handler(keys)
-		// Keys whose readiness was not consumed re-enter the set.
-		for _, k := range keys {
-			if !k.canceled && k.ready&k.interest != 0 {
-				s.ready[k] = struct{}{}
-			}
-		}
-		s.pump()
-	})
+	}
+	s.pump()
 }
 
 // SelectionKey ties a channel to a selector with an interest set.
@@ -154,6 +176,7 @@ type SelectionKey struct {
 	ready      InterestOps
 	attachment any
 	canceled   bool
+	selected   bool // in the selector's set for the next dispatch
 }
 
 // Channel returns the registered channel.
@@ -189,7 +212,10 @@ func (k *SelectionKey) Cancel() {
 		return
 	}
 	k.canceled = true
-	delete(k.sel.ready, k)
+	if k.selected {
+		k.selected = false
+		k.sel.nready--
+	}
 	for i, other := range k.sel.keys {
 		if other == k {
 			k.sel.keys = append(k.sel.keys[:i], k.sel.keys[i+1:]...)

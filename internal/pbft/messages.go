@@ -14,6 +14,7 @@ package pbft
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"rubin/internal/auth"
 )
@@ -82,7 +83,16 @@ type Request struct {
 }
 
 // Key identifies a request for reply caching and timer bookkeeping.
-func (r Request) Key() string { return fmt.Sprintf("%d/%d", r.Client, r.Timestamp) }
+func (r Request) Key() string { return requestKey(r.Client, r.Timestamp) }
+
+// requestKey formats "client/timestamp" without fmt's reflection: keys
+// are built several times per request on the hot path.
+func requestKey(client uint32, ts uint64) string {
+	var b [32]byte
+	k := strconv.AppendUint(b[:0], uint64(client), 10)
+	k = append(k, '/')
+	return string(strconv.AppendUint(k, ts, 10))
+}
 
 // PrePrepare is the leader's ordering proposal for one batch.
 type PrePrepare struct {
@@ -235,7 +245,7 @@ type ReadRequest struct {
 
 // Key identifies a read for timer bookkeeping and tracing, in the same
 // namespace as Request keys (timestamps are shared, so keys are unique).
-func (r ReadRequest) Key() string { return fmt.Sprintf("%d/%d", r.Client, r.Timestamp) }
+func (r ReadRequest) Key() string { return requestKey(r.Client, r.Timestamp) }
 
 // ReadReply carries a tentative read result. Executed is the replica's
 // last-executed sequence number — the state position the read was served
@@ -272,16 +282,51 @@ func (ReadReply) msgType() MsgType     { return MsgReadReply }
 func (StateManifest) msgType() MsgType { return MsgStateManifest }
 func (StatePart) msgType() MsgType     { return MsgStatePart }
 
-type encoder struct{ buf []byte }
+// encoder writes the wire format into buf or, in counting mode, only
+// adds up its length in n. Running one encoding body once counting and
+// once writing sizes the buffer exactly from the code that fills it.
+type encoder struct {
+	buf   []byte
+	n     int
+	count bool
+}
 
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
+func (e *encoder) u8(v uint8) {
+	if e.count {
+		e.n++
+		return
+	}
+	e.buf = append(e.buf, v)
+}
+func (e *encoder) u32(v uint32) {
+	if e.count {
+		e.n += 4
+		return
+	}
+	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
+}
+func (e *encoder) u64(v uint64) {
+	if e.count {
+		e.n += 8
+		return
+	}
+	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
+}
 func (e *encoder) bytes(b []byte) {
 	e.u32(uint32(len(b)))
+	if e.count {
+		e.n += len(b)
+		return
+	}
 	e.buf = append(e.buf, b...)
 }
-func (e *encoder) digest(d auth.Digest) { e.buf = append(e.buf, d[:]...) }
+func (e *encoder) digest(d auth.Digest) {
+	if e.count {
+		e.n += len(d)
+		return
+	}
+	e.buf = append(e.buf, d[:]...)
+}
 
 type decoder struct {
 	buf []byte
@@ -324,14 +369,19 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
+// bytes returns the next length-prefixed field as a slice of the input,
+// capped so an append by the holder reallocates instead of overwriting
+// the following field. Decoders never copy: by the receive-buffer
+// ownership contract (docs/ARCHITECTURE.md), a delivered buffer belongs to
+// its receiver and no layer mutates received bytes, so every decoded
+// field may alias it for as long as the message lives.
 func (d *decoder) bytes() []byte {
 	n := int(d.u32())
 	if d.err != nil || len(d.buf) < n || n < 0 {
 		d.fail()
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[:n])
+	out := d.buf[:n:n]
 	d.buf = d.buf[n:]
 	return out
 }
@@ -365,7 +415,10 @@ func encodeDigests(e *encoder, ds []auth.Digest) {
 
 func decodeDigests(d *decoder) []auth.Digest {
 	n := int(d.u32())
-	if d.err != nil || n < 0 || n > 1<<20 {
+	// Every digest takes DigestSize bytes, so a count the remaining input
+	// cannot hold is truncated; failing first keeps a hostile count from
+	// sizing the allocation.
+	if d.err != nil || n < 0 || n > 1<<20 || n > len(d.buf)/auth.DigestSize {
 		d.fail()
 		return nil
 	}
@@ -384,7 +437,8 @@ func decodeDigests(d *decoder) []auth.Digest {
 
 func decodeRequests(d *decoder) []Request {
 	n := int(d.u32())
-	if d.err != nil || n < 0 || n > 1<<20 {
+	// A request takes at least 16 bytes (client, timestamp, op length).
+	if d.err != nil || n < 0 || n > 1<<20 || n > len(d.buf)/16 {
 		d.fail()
 		return nil
 	}
@@ -399,9 +453,23 @@ func decodeRequests(d *decoder) []Request {
 	return reqs
 }
 
-// Encode serializes a protocol message with its type tag.
+// Encode serializes a protocol message with its type tag into a buffer
+// of exactly its length.
 func Encode(m Message) []byte {
-	e := &encoder{}
+	e := &encoder{buf: make([]byte, 0, encodedLen(m))}
+	encodeMessage(e, m)
+	return e.buf
+}
+
+// encodedLen returns len(Encode(m)) without encoding; cost models use it
+// to price a message.
+func encodedLen(m Message) int {
+	e := &encoder{count: true}
+	encodeMessage(e, m)
+	return e.n
+}
+
+func encodeMessage(e *encoder, m Message) {
 	e.u8(uint8(m.msgType()))
 	switch v := m.(type) {
 	case Request:
@@ -489,7 +557,6 @@ func Encode(m Message) []byte {
 	default:
 		panic(fmt.Sprintf("pbft: cannot encode %T", m))
 	}
-	return e.buf
 }
 
 // Decode parses a serialized protocol message.
@@ -563,7 +630,9 @@ func Decode(raw []byte) (Message, error) {
 
 // BatchDigest computes the digest a pre-prepare commits to.
 func BatchDigest(batch []Request) auth.Digest {
-	e := &encoder{}
+	c := &encoder{count: true}
+	encodeRequests(c, batch)
+	e := &encoder{buf: make([]byte, 0, c.n)}
 	encodeRequests(e, batch)
 	return auth.Hash(e.buf)
 }
@@ -577,14 +646,20 @@ type Envelope struct {
 
 // EncodeEnvelope serializes an envelope.
 func EncodeEnvelope(env Envelope) []byte {
-	e := &encoder{}
+	c := &encoder{count: true}
+	encodeEnvelope(c, env)
+	e := &encoder{buf: make([]byte, 0, c.n)}
+	encodeEnvelope(e, env)
+	return e.buf
+}
+
+func encodeEnvelope(e *encoder, env Envelope) {
 	e.u32(env.Sender)
 	e.bytes(env.Payload)
 	e.u32(uint32(len(env.Auth)))
 	for _, mac := range env.Auth {
 		e.bytes(mac)
 	}
-	return e.buf
 }
 
 // DecodeEnvelope parses an envelope.
@@ -593,6 +668,9 @@ func DecodeEnvelope(raw []byte) (Envelope, error) {
 	env := Envelope{Sender: d.u32(), Payload: d.bytes()}
 	n := int(d.u32())
 	if d.err == nil && n >= 0 && n < 1<<16 {
+		if n > 0 && n <= len(d.buf)/4 {
+			env.Auth = make(auth.Authenticator, 0, n)
+		}
 		for i := 0; i < n; i++ {
 			env.Auth = append(env.Auth, d.bytes())
 		}

@@ -62,7 +62,10 @@ type PartitionedState interface {
 	// CheckpointDelta is expressed in).
 	Applied() uint64
 	// MarshalPartition serializes one partition; auth.Hash of the result
-	// must equal its entry in PartitionDigests.
+	// must equal its entry in PartitionDigests. The result may be shared
+	// with the application: the replica retains it in checkpoint records
+	// and never modifies it, and the application must not modify it
+	// after returning it.
 	MarshalPartition(part int) []byte
 	// MarshalHeader serializes the state outside the partitions (e.g.
 	// the applied counter and any non-partitioned sections).
@@ -775,7 +778,7 @@ func (r *Replica) proposeBatch() {
 	}
 	p := params.Crypto
 	d := BatchDigest(batch)
-	r.crypto(auth.DigestCost(p, len(Encode(PrePrepare{Batch: batch}))))
+	r.crypto(auth.DigestCost(p, encodedLen(PrePrepare{Batch: batch})))
 
 	pp := PrePrepare{View: r.view, Seq: seq, Digest: d, Batch: batch}
 	s := r.slotFor(seq)
@@ -857,7 +860,7 @@ func (r *Replica) handlePrePrepare(sender uint32, pp PrePrepare) {
 	// Integrity: the digest must match the carried batch (an
 	// equivocating leader fails here).
 	p := r.node.Network().Params().Crypto
-	r.crypto(auth.DigestCost(p, len(Encode(pp))))
+	r.crypto(auth.DigestCost(p, encodedLen(pp)))
 	if BatchDigest(pp.Batch) != pp.Digest {
 		r.startViewChange(r.view + 1)
 		return
@@ -1644,10 +1647,10 @@ func (r *Replica) tryAdoptPartitioned(ps PartitionedState) bool {
 		manifest := matching[0].manifest
 		local := ps.PartitionDigests()
 		parts := make([][]byte, ps.PartitionCount())
+		reuse := func(i int) bool { return i < len(local) && local[i] == manifest.Digests[i] }
 		complete := true
 		for i := range parts {
-			if i < len(local) && local[i] == manifest.Digests[i] {
-				parts[i] = ps.MarshalPartition(i)
+			if reuse(i) {
 				continue
 			}
 			for _, cand := range matching {
@@ -1663,6 +1666,14 @@ func (r *Replica) tryAdoptPartitioned(ps PartitionedState) bool {
 		}
 		if !complete {
 			continue // divergent partitions still streaming in
+		}
+		// Marshal the reused partitions only once the set is complete:
+		// this runs on every arriving part, and copying every matching
+		// partition each time made a transfer quadratic in real time.
+		for i := range parts {
+			if reuse(i) {
+				parts[i] = ps.MarshalPartition(i)
+			}
 		}
 		prev := ps.MarshalState()
 		if err := ps.ApplyTransfer(manifest.Header, parts); err != nil {

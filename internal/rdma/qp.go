@@ -83,16 +83,26 @@ type QP struct {
 
 	// Send pipeline: WRs are processed by the NIC strictly in order per
 	// QP (RC ordering); outstanding counts WRs posted but not yet acked.
-	sendQ       []*SendWR
+	// PostSend copies each WR, so the poster may reuse its WR structs.
+	// txWR and txPayload are the WR on the NIC engine (one at a time).
+	sendQ       sim.FIFO[SendWR]
 	txActive    bool
+	txWR        SendWR
+	txPayload   []byte
+	txPooled    bool
 	outstanding int
 
 	// Receive queue of posted buffers, consumed FIFO by arriving SENDs.
-	recvQ []RecvWR
+	recvQ sim.FIFO[RecvWR]
 
-	// Receive pipeline serialization (per-QP in-order delivery).
-	rxQ      []*wireMsg
+	// Receive pipeline serialization (per-QP in-order delivery); rxCur
+	// is the message on the NIC engine.
+	rxQ      sim.FIFO[*wireMsg]
 	rxActive bool
+	rxCur    *wireMsg
+
+	// Pipeline callbacks, built once.
+	pumpSendFn, txDoneFn, rxDoneFn func()
 
 	// Pending one-sided READ WRs awaiting responses, by WR ID.
 	pendingReads map[uint64]*SendWR
@@ -106,6 +116,7 @@ type QP struct {
 	nextPSN    uint64
 	rxExpected uint64
 	pending    map[uint64]*txEntry
+	freeTx     sim.FreeList[*txEntry] // acknowledged entries
 
 	// thread is where posting (doorbell) CPU costs are charged;
 	// defaults to the node CPU.
@@ -115,12 +126,16 @@ type QP struct {
 	sent, received uint64
 }
 
-// txEntry is an unacknowledged transmitted WR kept for RNR retry.
+// txEntry is an unacknowledged transmitted WR kept for RNR retry; it
+// holds the wire message itself, so one allocation covers both. pooled
+// marks a payload copied out of a registered region into the device's
+// buffer pool, which the ack returns it to.
 type txEntry struct {
-	msg     *wireMsg
+	msg     wireMsg
 	wire    int
 	op      Opcode
 	retries int
+	pooled  bool
 }
 
 // CreateQP creates a queue pair in the Init state. Connect it via the
@@ -144,6 +159,7 @@ func (d *Device) CreateQP(pd *PD, cfg QPConfig) (*QP, error) {
 		pendingReads: make(map[uint64]*SendWR),
 		pending:      make(map[uint64]*txEntry),
 	}
+	qp.pumpSendFn, qp.txDoneFn, qp.rxDoneFn = qp.pumpSend, qp.txDone, qp.rxDone
 	d.nextQPN++
 	d.qps[qp.num] = qp
 	return qp, nil
@@ -176,10 +192,10 @@ func (qp *QP) Sent() uint64 { return qp.sent }
 func (qp *QP) Received() uint64 { return qp.received }
 
 // RecvDepth returns the number of receive WRs currently posted.
-func (qp *QP) RecvDepth() int { return len(qp.recvQ) }
+func (qp *QP) RecvDepth() int { return qp.recvQ.Len() }
 
 // SendSlots returns how many more send WRs can be posted right now.
-func (qp *QP) SendSlots() int { return qp.cfg.MaxSendWR - qp.outstanding - len(qp.sendQ) }
+func (qp *QP) SendSlots() int { return qp.cfg.MaxSendWR - qp.outstanding - qp.sendQ.Len() }
 
 // PostRecv posts receive buffers. Each WR must reference a local-writable
 // registered region.
@@ -187,7 +203,7 @@ func (qp *QP) PostRecv(wrs ...RecvWR) error {
 	if qp.state == QPError {
 		return ErrQPState
 	}
-	if len(qp.recvQ)+len(wrs) > qp.cfg.MaxRecvWR {
+	if qp.recvQ.Len()+len(wrs) > qp.cfg.MaxRecvWR {
 		return ErrRecvQueueFul
 	}
 	for _, wr := range wrs {
@@ -196,7 +212,9 @@ func (qp *QP) PostRecv(wrs ...RecvWR) error {
 			return fmt.Errorf("%w: recv wr %d", ErrBadMR, wr.ID)
 		}
 	}
-	qp.recvQ = append(qp.recvQ, wrs...)
+	for _, wr := range wrs {
+		qp.recvQ.Push(wr)
+	}
 	// Re-posting receives is a cheap doorbell on the posting thread.
 	qp.workThread().Delay(qp.dev.params.RDMA.RecvWRRefill * sim.Time(len(wrs)))
 	return nil
@@ -205,7 +223,9 @@ func (qp *QP) PostRecv(wrs ...RecvWR) error {
 // PostSend posts one or more send-side WRs with a single doorbell: the
 // first WR pays the full doorbell cost, the rest the batched marginal cost
 // (the paper's batched posting optimization). WRs are processed by the NIC
-// in order.
+// in order. PostSend copies the WRs, so the caller may reuse them; as with
+// verbs, the bytes they reference (inline or in a region) must stay
+// unchanged until the send completes.
 func (qp *QP) PostSend(wrs ...*SendWR) error {
 	if qp.state != QPReady {
 		return ErrQPState
@@ -213,7 +233,7 @@ func (qp *QP) PostSend(wrs ...*SendWR) error {
 	if len(wrs) == 0 {
 		return nil
 	}
-	if qp.outstanding+len(qp.sendQ)+len(wrs) > qp.cfg.MaxSendWR {
+	if qp.outstanding+qp.sendQ.Len()+len(wrs) > qp.cfg.MaxSendWR {
 		return ErrSendQueueFul
 	}
 	for _, wr := range wrs {
@@ -223,8 +243,10 @@ func (qp *QP) PostSend(wrs ...*SendWR) error {
 	}
 	p := qp.dev.params.RDMA
 	cost := p.PostWR + p.PostWRBatched*sim.Time(len(wrs)-1)
-	qp.sendQ = append(qp.sendQ, wrs...)
-	qp.workThread().Acquire(cost, qp.pumpSend)
+	for _, wr := range wrs {
+		qp.sendQ.Push(*wr)
+	}
+	qp.workThread().Acquire(cost, qp.pumpSendFn)
 	return nil
 }
 
@@ -255,20 +277,25 @@ func (qp *QP) validateSend(wr *SendWR) error {
 // preserve RC ordering. Parallelism across QPs comes from the NIC engine
 // pool.
 func (qp *QP) pumpSend() {
-	if qp.txActive || len(qp.sendQ) == 0 || qp.state != QPReady {
+	if qp.txActive || qp.sendQ.Len() == 0 || qp.state != QPReady {
 		return
 	}
 	qp.txActive = true
-	wr := qp.sendQ[0]
-	qp.sendQ = qp.sendQ[1:]
+	wr := qp.sendQ.Pop()
 	qp.outstanding++
 
 	p := qp.dev.params.RDMA
+	// The NIC's DMA read of a region payload is the one copy out of the
+	// sender's region; an inline payload rode in with the doorbell and
+	// travels as posted.
 	var payload []byte
+	pooled := false
 	if len(wr.Inline) > 0 {
-		payload = append([]byte(nil), wr.Inline...)
-	} else if wr.Op != OpRead {
-		payload = wr.MR.ReadBytes(wr.Offset, wr.Length)
+		payload = wr.Inline
+	} else if wr.Op != OpRead && wr.Length > 0 {
+		payload = qp.dev.payloads.Get(wr.Length)
+		wr.MR.ReadAt(payload, wr.Offset)
+		pooled = true
 	}
 
 	// NIC engine work: descriptor processing plus the DMA read of the
@@ -284,34 +311,48 @@ func (qp *QP) pumpSend() {
 			cost += model.KB(p.DMAPerKB, len(payload))
 		}
 	}
-	qp.dev.node.NIC.Acquire(cost, func() {
-		msg := &wireMsg{srcQPN: qp.num, dstQPN: qp.remoteQPN, wrid: wr.ID}
-		wire := len(payload)
-		switch wr.Op {
-		case OpSend:
-			msg.kind = wireSend
-			msg.data = payload
-		case OpWrite:
-			msg.kind = wireWrite
-			msg.data = payload
-			msg.rkey = wr.RemoteKey
-			msg.roffset = wr.RemoteOffset
-		case OpRead:
-			msg.kind = wireReadReq
-			msg.rkey = wr.RemoteKey
-			msg.roffset = wr.RemoteOffset
-			msg.length = wr.Length
-			wire = ctrlWireBytes
-			qp.pendingReads[wr.ID] = wr
-		}
-		msg.signaled = wr.Signaled
-		msg.psn = qp.nextPSN
-		qp.nextPSN++
-		qp.pending[msg.psn] = &txEntry{msg: msg, wire: wire, op: wr.Op}
-		qp.transmit(msg, wire)
-		qp.txActive = false
-		qp.pumpSend()
-	})
+	qp.txWR, qp.txPayload, qp.txPooled = wr, payload, pooled
+	qp.dev.node.NIC.Acquire(cost, qp.txDoneFn)
+}
+
+// txDone puts the WR the NIC engine finished on the wire.
+func (qp *QP) txDone() {
+	wr, payload := qp.txWR, qp.txPayload
+	e, ok := qp.freeTx.Get()
+	if !ok {
+		e = &txEntry{}
+	}
+	e.op, e.pooled = wr.Op, qp.txPooled
+	qp.txWR, qp.txPayload, qp.txPooled = SendWR{}, nil, false
+	msg := &e.msg
+	msg.srcQPN, msg.dstQPN, msg.wrid = qp.num, qp.remoteQPN, wr.ID
+	wire := len(payload)
+	switch wr.Op {
+	case OpSend:
+		msg.kind = wireSend
+		msg.data = payload
+	case OpWrite:
+		msg.kind = wireWrite
+		msg.data = payload
+		msg.rkey = wr.RemoteKey
+		msg.roffset = wr.RemoteOffset
+	case OpRead:
+		msg.kind = wireReadReq
+		msg.rkey = wr.RemoteKey
+		msg.roffset = wr.RemoteOffset
+		msg.length = wr.Length
+		wire = ctrlWireBytes
+		read := wr
+		qp.pendingReads[wr.ID] = &read
+	}
+	msg.signaled = wr.Signaled
+	msg.psn = qp.nextPSN
+	qp.nextPSN++
+	e.wire = wire
+	qp.pending[msg.psn] = e
+	qp.transmit(msg, wire)
+	qp.txActive = false
+	qp.pumpSend()
 }
 
 const ctrlWireBytes = 60

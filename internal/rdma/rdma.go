@@ -127,9 +127,23 @@ type Device struct {
 	pendingCM   map[uint32]*pendingConnect // by local (client) QPN
 	cmAccepting map[uint32]*cmListener     // by local (server) QPN awaiting RTU
 
+	// Recycled memory: payload buffers, and control messages, which die
+	// on arrival.
+	payloads sim.BufPool
+	freeMsgs sim.FreeList[*wireMsg]
+
 	// Stats.
 	sendsRx, writesRx, readsRx uint64
 	rnrNaks                    uint64
+}
+
+// newMsg returns a zeroed control message, recycled when possible.
+func (d *Device) newMsg() *wireMsg {
+	if m, ok := d.freeMsgs.Get(); ok {
+		*m = wireMsg{owner: d}
+		return m
+	}
+	return &wireMsg{owner: d}
 }
 
 // OpenDevice creates the RNIC on a node and claims the node's ProtoRDMA
@@ -281,8 +295,10 @@ func (mr *MR) Access() Access { return mr.access }
 type CQ struct {
 	dev      *Device
 	capacity int
-	entries  []CQE
+	entries  sim.FIFO[CQE]
+	polled   []CQE // Poll's result, reused by the next Poll
 	onEvent  func()
+	notifyFn func() // the completion-channel wakeup, built once
 	armed    bool
 	overflow bool
 
@@ -333,7 +349,9 @@ func (d *Device) CreateCQ(capacity int) *CQ {
 	if capacity < 1 {
 		panic("rdma: CQ capacity must be positive")
 	}
-	return &CQ{dev: d, capacity: capacity}
+	cq := &CQ{dev: d, capacity: capacity}
+	cq.notifyFn = cq.notify
+	return cq
 }
 
 // OnEvent installs the completion-channel callback. The callback fires
@@ -345,41 +363,42 @@ func (cq *CQ) OnEvent(fn func()) { cq.onEvent = fn }
 // RequestNotify arms the completion channel for the next CQE.
 func (cq *CQ) RequestNotify() {
 	cq.armed = true
-	if len(cq.entries) > 0 {
+	if cq.entries.Len() > 0 {
 		cq.fire()
 	}
 }
 
 // Poll removes and returns up to max entries. The poll cost is charged to
-// the CPU. Polling an empty CQ returns nil.
+// the CPU. Polling an empty CQ returns nil. Like ibv_poll_cq filling the
+// caller's array, the returned slice is reused: it is valid until the
+// next Poll on this CQ.
 func (cq *CQ) Poll(max int) []CQE {
-	if len(cq.entries) == 0 || max <= 0 {
+	if cq.entries.Len() == 0 || max <= 0 {
 		return nil
 	}
-	n := max
-	if n > len(cq.entries) {
-		n = len(cq.entries)
+	n := min(max, cq.entries.Len())
+	out := cq.polled[:0]
+	for i := 0; i < n; i++ {
+		out = append(out, cq.entries.Pop())
 	}
-	out := make([]CQE, n)
-	copy(out, cq.entries[:n])
-	cq.entries = cq.entries[n:]
+	cq.polled = out
 	cq.workThread().Delay(cq.dev.params.RDMA.CQPoll)
 	return out
 }
 
 // Depth returns the number of entries waiting in the queue.
-func (cq *CQ) Depth() int { return len(cq.entries) }
+func (cq *CQ) Depth() int { return cq.entries.Len() }
 
 // Overflowed reports whether the CQ ever dropped an entry because it was
 // full — a fatal condition for a real application.
 func (cq *CQ) Overflowed() bool { return cq.overflow }
 
 func (cq *CQ) push(e CQE) {
-	if len(cq.entries) >= cq.capacity {
+	if cq.entries.Len() >= cq.capacity {
 		cq.overflow = true
 		return
 	}
-	cq.entries = append(cq.entries, e)
+	cq.entries.Push(e)
 	if cq.armed {
 		cq.fire()
 	}
@@ -391,10 +410,12 @@ func (cq *CQ) fire() {
 	}
 	cq.armed = false
 	cq.notifyPending = true
-	cq.workThread().Acquire(cq.notifyCost(), func() {
-		cq.notifyPending = false
-		if cq.onEvent != nil {
-			cq.onEvent()
-		}
-	})
+	cq.workThread().Acquire(cq.notifyCost(), cq.notifyFn)
+}
+
+func (cq *CQ) notify() {
+	cq.notifyPending = false
+	if cq.onEvent != nil {
+		cq.onEvent()
+	}
 }

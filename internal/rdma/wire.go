@@ -51,6 +51,9 @@ type wireMsg struct {
 	signaled bool
 	// CM fields.
 	cmPort int
+	// owner is the device that created a recycled control message and
+	// takes it back once it has been handled.
+	owner *Device
 }
 
 // deliver is the fabric handler for ProtoRDMA frames: it demultiplexes to
@@ -73,10 +76,13 @@ func (d *Device) deliver(from *fabric.Node, payload any, wireBytes int) {
 	case wireSend, wireWrite, wireReadReq:
 		// Requester->responder traffic runs through the per-QP receive
 		// pipeline to preserve RC ordering.
-		qp.rxQ = append(qp.rxQ, msg)
+		qp.rxQ.Push(msg)
 		qp.pumpRecv()
 	case wireAck:
 		qp.handleAck(msg)
+		if o := msg.owner; o != nil { // acks die on arrival
+			o.freeMsgs.Put(msg)
+		}
 	case wireRNR:
 		qp.handleRNR(msg)
 	case wireNakAccess:
@@ -90,12 +96,11 @@ func (d *Device) deliver(from *fabric.Node, payload any, wireBytes int) {
 
 // pumpRecv drives the per-QP responder pipeline one message at a time.
 func (qp *QP) pumpRecv() {
-	if qp.rxActive || len(qp.rxQ) == 0 || qp.state == QPError {
+	if qp.rxActive || qp.rxQ.Len() == 0 || qp.state == QPError {
 		return
 	}
 	qp.rxActive = true
-	msg := qp.rxQ[0]
-	qp.rxQ = qp.rxQ[1:]
+	msg := qp.rxQ.Pop()
 
 	p := qp.dev.params.RDMA
 	// Responder NIC work: descriptor processing plus the DMA that moves
@@ -108,11 +113,17 @@ func (qp *QP) pumpRecv() {
 	case wireReadReq:
 		cost += model.KB(p.DMAPerKB, msg.length)
 	}
-	qp.dev.node.NIC.Acquire(cost, func() {
-		qp.finishRecv(msg)
-		qp.rxActive = false
-		qp.pumpRecv()
-	})
+	qp.rxCur = msg
+	qp.dev.node.NIC.Acquire(cost, qp.rxDoneFn)
+}
+
+// rxDone finishes the message the NIC engine processed.
+func (qp *QP) rxDone() {
+	msg := qp.rxCur
+	qp.rxCur = nil
+	qp.finishRecv(msg)
+	qp.rxActive = false
+	qp.pumpRecv()
 }
 
 func (qp *QP) finishRecv(msg *wireMsg) {
@@ -123,62 +134,60 @@ func (qp *QP) finishRecv(msg *wireMsg) {
 		// sender can retire it; re-execute reads (idempotent).
 		switch msg.kind {
 		case wireSend, wireWrite:
-			qp.reply(&wireMsg{kind: wireAck, psn: msg.psn})
+			qp.reply(wireAck, msg.psn)
 			return
 		}
 	} else if msg.psn > qp.rxExpected {
 		// A gap: an earlier packet is in RNR backoff. Reject so the
 		// sender retries this one after the gap fills.
-		qp.reply(&wireMsg{kind: wireRNR, psn: msg.psn})
+		qp.reply(wireRNR, msg.psn)
 		return
 	}
 	switch msg.kind {
 	case wireSend:
-		if len(qp.recvQ) == 0 {
+		if qp.recvQ.Len() == 0 {
 			// Receiver not ready: NAK so the sender backs off and
 			// retries (paper: "it is important to allocate enough
 			// receive requests").
 			qp.dev.rnrNaks++
-			qp.reply(&wireMsg{kind: wireRNR, psn: msg.psn})
+			qp.reply(wireRNR, msg.psn)
 			return
 		}
-		wr := qp.recvQ[0]
+		wr := qp.recvQ.Pop()
 		if wr.Length < len(msg.data) {
-			qp.recvQ = qp.recvQ[1:]
 			qp.rxExpected = msg.psn + 1
 			qp.cfg.RecvCQ.push(CQE{WRID: wr.ID, QPN: qp.num, Op: OpRecv, Status: StatusRecvLengthErr})
-			qp.reply(&wireMsg{kind: wireNakLength, psn: msg.psn})
+			qp.reply(wireNakLength, msg.psn)
 			qp.state = QPError
 			return
 		}
-		qp.recvQ = qp.recvQ[1:]
 		qp.rxExpected = msg.psn + 1
 		wr.MR.WriteAt(msg.data, wr.Offset)
 		qp.received++
 		qp.dev.sendsRx++
 		qp.dev.node.NIC.Delay(p.CQEGenerate)
 		qp.cfg.RecvCQ.push(CQE{WRID: wr.ID, QPN: qp.num, Op: OpRecv, Status: StatusOK, Bytes: len(msg.data)})
-		qp.reply(&wireMsg{kind: wireAck, psn: msg.psn})
+		qp.reply(wireAck, msg.psn)
 
 	case wireWrite:
 		qp.rxExpected = msg.psn + 1
 		mr := qp.dev.mrs[msg.rkey]
 		if mr == nil || !mr.valid || mr.access&AccessRemoteWrite == 0 ||
 			msg.roffset < 0 || msg.roffset+len(msg.data) > mr.Len() {
-			qp.reply(&wireMsg{kind: wireNakAccess, psn: msg.psn})
+			qp.reply(wireNakAccess, msg.psn)
 			return
 		}
 		mr.WriteAt(msg.data, msg.roffset)
 		qp.dev.writesRx++
 		// One-sided: no receive CQE, no CPU involvement; just the ack.
-		qp.reply(&wireMsg{kind: wireAck, psn: msg.psn})
+		qp.reply(wireAck, msg.psn)
 
 	case wireReadReq:
 		qp.rxExpected = msg.psn + 1
 		mr := qp.dev.mrs[msg.rkey]
 		if mr == nil || !mr.valid || mr.access&AccessRemoteRead == 0 ||
 			msg.roffset < 0 || msg.roffset+msg.length > mr.Len() {
-			qp.reply(&wireMsg{kind: wireNakAccess, psn: msg.psn})
+			qp.reply(wireNakAccess, msg.psn)
 			return
 		}
 		qp.dev.readsRx++
@@ -191,7 +200,9 @@ func (qp *QP) finishRecv(msg *wireMsg) {
 }
 
 // reply sends a control message back to the peer QP.
-func (qp *QP) reply(msg *wireMsg) {
+func (qp *QP) reply(kind wireKind, psn uint64) {
+	msg := qp.dev.newMsg()
+	msg.kind, msg.psn = kind, psn
 	msg.srcQPN = qp.num
 	msg.dstQPN = qp.remoteQPN
 	qp.transmit(msg, ctrlWireBytes)
@@ -218,6 +229,15 @@ func (qp *QP) handleAck(msg *wireMsg) {
 			Bytes:  len(entry.msg.data),
 		})
 	}
+	// The ack proves the responder has landed the payload, and a message
+	// has at most one copy in flight (a retransmission is sent only after
+	// its predecessor was refused), so nothing reads the entry or its
+	// bytes again.
+	if entry.pooled {
+		qp.dev.payloads.Put(entry.msg.data)
+	}
+	*entry = txEntry{}
+	qp.freeTx.Put(entry)
 	qp.pumpSend()
 }
 
@@ -244,7 +264,7 @@ func (qp *QP) handleRNR(msg *wireMsg) {
 		cost := p.NICProcess + model.KB(p.DMAPerKB, len(entry.msg.data))
 		qp.dev.node.NIC.Acquire(cost, func() {
 			if qp.state == QPReady {
-				qp.transmit(entry.msg, entry.wire)
+				qp.transmit(&entry.msg, entry.wire)
 			}
 		})
 	})

@@ -95,19 +95,28 @@ type Channel struct {
 	// SignalInterval-th WR is signaled and its completion releases all
 	// slots up to it.
 	sendSeq    uint64
-	inFlight   []pendingSlot // slots awaiting a covering signaled CQE
-	pendingWRs []*rdma.SendWR
+	inFlight   sim.FIFO[pendingSlot] // slots awaiting a covering signaled CQE
+	pendingWRs []rdma.SendWR         // WRs awaiting the doorbell
+	postBatch  []*rdma.SendWR        // Flush's PostSend argument, reused
+
+	// freeInline recycles inline payload copies: a covering completion
+	// proves the peer has landed the bytes, like a pool slot.
+	freeInline sim.FreeList[[]byte]
 
 	flushArmed bool
 	wantSend   bool
+	flushFn    func() // the armed doorbell, built once
 
 	// Receive pipeline: CQEs queue here and are processed one at a time
-	// on the owning thread so per-message copies cannot reorder.
+	// on the owning thread so per-message copies cannot reorder. rxBatch
+	// is the burst on the thread; the two slices swap to stay allocated.
 	rxPending []rdma.CQE
+	rxBatch   []rdma.CQE
 	rxActive  bool
+	rxDoneFn  func()
 
 	// Received messages ready for Receive().
-	inbox [][]byte
+	inbox sim.FIFO[[]byte]
 
 	key       *SelectionKey
 	sel       *Selector
@@ -121,15 +130,24 @@ type Channel struct {
 }
 
 type pendingSlot struct {
-	seq  uint64
-	slot int // -1 for inline sends (no pool slot)
+	seq    uint64
+	slot   int    // -1 for inline sends (no pool slot)
+	inline []byte // an inline send's payload copy
 }
+
+// inlineMax is the largest payload sent inline (the QP's MaxInline).
+const inlineMax = 256
 
 func newChannel(dev *rdma.Device, cfg Config, id uint64) (*Channel, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	c := &Channel{id: id, dev: dev, cfg: cfg}
+	c.flushFn = func() {
+		c.flushArmed = false
+		c.Flush()
+	}
+	c.rxDoneFn = c.rxDone
 	c.sendCQ = dev.CreateCQ(2*cfg.SendWRs + 8)
 	c.recvCQ = dev.CreateCQ(2*cfg.RecvWRs + 8)
 	c.freeSend = make([]int, 0, cfg.SendWRs)
@@ -146,7 +164,7 @@ func (c *Channel) qpConfig() rdma.QPConfig {
 		RecvCQ:    c.recvCQ,
 		MaxSendWR: c.cfg.SendWRs,
 		MaxRecvWR: c.cfg.RecvWRs,
-		MaxInline: 256,
+		MaxInline: inlineMax,
 	}
 }
 
@@ -234,39 +252,43 @@ func (c *Channel) pumpRx() {
 		return
 	}
 	c.rxActive = true
-	batch := c.rxPending
-	c.rxPending = nil
+	c.rxBatch, c.rxPending = c.rxPending, c.rxBatch[:0]
 
 	p := c.dev.Node().Network().Params()
 	var copyCost sim.Time
 	if !c.cfg.ZeroCopyReceive {
-		for _, cqe := range batch {
+		for _, cqe := range c.rxBatch {
 			if cqe.Status == rdma.StatusOK {
 				copyCost += model.KB(p.Selector.CopyPerKB, cqe.Bytes)
 			}
 		}
 	}
-	c.thread().Acquire(copyCost, func() {
-		delivered := 0
-		for _, cqe := range batch {
-			if c.closed {
-				break
-			}
-			if c.finishRecvCQE(cqe) {
-				delivered++
-			}
+	c.thread().Acquire(copyCost, c.rxDoneFn)
+}
+
+// rxDone lands the burst whose copy cost the thread has served.
+func (c *Channel) rxDone() {
+	delivered := 0
+	for _, cqe := range c.rxBatch {
+		if c.closed {
+			break
 		}
-		c.rxActive = false
-		if delivered > 0 && c.key != nil && c.sel != nil {
-			c.key.markReady(OpReceive)
-			c.sel.push(event{key: c.key, ops: OpReceive})
+		if c.finishRecvCQE(cqe) {
+			delivered++
 		}
-		c.pumpRx()
-	})
+	}
+	c.rxActive = false
+	if delivered > 0 && c.key != nil && c.sel != nil {
+		c.key.markReady(OpReceive)
+		c.sel.push(event{key: c.key, ops: OpReceive})
+	}
+	c.pumpRx()
 }
 
 // finishRecvCQE lands one received message (copy already charged by
 // pumpRx) and re-posts its buffer; reports whether a message was queued.
+// The copy out of the receive region is the message's one copy on this
+// side, and the receiver owns it (transport.Conn.OnMessage).
 func (c *Channel) finishRecvCQE(cqe rdma.CQE) bool {
 	if cqe.Status != rdma.StatusOK {
 		c.fail()
@@ -274,7 +296,7 @@ func (c *Channel) finishRecvCQE(cqe rdma.CQE) bool {
 	}
 	slot := int(cqe.WRID)
 	off := slot * c.cfg.BufferSize
-	c.inbox = append(c.inbox, c.recvMR.ReadBytes(off, cqe.Bytes))
+	c.inbox.Push(c.recvMR.ReadBytes(off, cqe.Bytes))
 	c.received++
 	wr := rdma.RecvWR{ID: cqe.WRID, MR: c.recvMR, Offset: off, Length: c.cfg.BufferSize}
 	if err := c.qp.PostRecv(wr); err != nil {
@@ -312,11 +334,11 @@ func (c *Channel) SignaledCompletions() uint64 { return c.signaled }
 // (bounded by the work-request queue depth; non-inline messages
 // additionally need a free pool buffer).
 func (c *Channel) SendCapacity() int {
-	return c.cfg.SendWRs - len(c.inFlight)
+	return c.cfg.SendWRs - c.inFlight.Len()
 }
 
 // Pending returns the number of received messages waiting in the inbox.
-func (c *Channel) Pending() int { return len(c.inbox) }
+func (c *Channel) Pending() int { return c.inbox.Len() }
 
 // Send queues one message (non-blocking). It returns ErrWouldBlock when
 // the send pool is exhausted; register for OpSend to learn when capacity
@@ -335,7 +357,7 @@ func (c *Channel) Send(msg []byte) error {
 	}
 	// Zero-length messages ride a pool slot (a WR must carry either
 	// inline bytes or a region reference).
-	inline := c.cfg.Inline && len(msg) > 0 && len(msg) <= 256
+	inline := c.cfg.Inline && len(msg) > 0 && len(msg) <= inlineMax
 	if !inline && len(c.freeSend) == 0 {
 		c.wantSend = true
 		return ErrWouldBlock
@@ -347,10 +369,12 @@ func (c *Channel) Send(msg []byte) error {
 	signaled := seq%uint64(c.cfg.SignalInterval) == 0 ||
 		c.SendCapacity() <= 2 || (!inline && len(c.freeSend) <= 1)
 
-	wr := &rdma.SendWR{ID: seq, Op: rdma.OpSend, Signaled: signaled}
+	wr := rdma.SendWR{ID: seq, Op: rdma.OpSend, Signaled: signaled}
 	slot := -1
 	if inline {
-		wr.Inline = append([]byte(nil), msg...)
+		// The doorbell carries a copy: the caller may reuse msg once
+		// Send returns.
+		wr.Inline = append(c.inlineBuf(), msg...)
 	} else {
 		slot = c.freeSend[len(c.freeSend)-1]
 		c.freeSend = c.freeSend[:len(c.freeSend)-1]
@@ -363,10 +387,18 @@ func (c *Channel) Send(msg []byte) error {
 		wr.Offset = off
 		wr.Length = len(msg)
 	}
-	c.inFlight = append(c.inFlight, pendingSlot{seq: seq, slot: slot})
+	c.inFlight.Push(pendingSlot{seq: seq, slot: slot, inline: wr.Inline})
 	c.pendingWRs = append(c.pendingWRs, wr)
 	c.armFlush()
 	return nil
+}
+
+// inlineBuf returns an empty buffer with room for an inline payload.
+func (c *Channel) inlineBuf() []byte {
+	if b, ok := c.freeInline.Get(); ok {
+		return b
+	}
+	return make([]byte, 0, inlineMax)
 }
 
 // armFlush schedules a doorbell at the end of the current event turn so
@@ -376,41 +408,43 @@ func (c *Channel) armFlush() {
 		return
 	}
 	c.flushArmed = true
-	c.dev.Node().Loop().Post(func() {
-		c.flushArmed = false
-		c.Flush()
-	})
+	c.dev.Node().Loop().Post(c.flushFn)
 }
 
 // Flush posts all queued sends immediately, PostBatch WRs per doorbell.
 func (c *Channel) Flush() {
-	for len(c.pendingWRs) > 0 && !c.closed {
-		n := len(c.pendingWRs)
-		if n > c.cfg.PostBatch {
-			n = c.cfg.PostBatch
+	posted := 0
+	for posted < len(c.pendingWRs) && !c.closed {
+		n := min(len(c.pendingWRs)-posted, c.cfg.PostBatch)
+		batch := c.postBatch[:0]
+		for i := range c.pendingWRs[posted : posted+n] {
+			batch = append(batch, &c.pendingWRs[posted+i])
 		}
-		batch := c.pendingWRs[:n]
-		c.pendingWRs = c.pendingWRs[n:]
+		c.postBatch = batch
+		posted += n
+		// PostSend copies the WRs, so their slots are free again.
 		if err := c.qp.PostSend(batch...); err != nil {
 			c.fail()
-			return
+			break
 		}
 		c.sent += uint64(n)
 	}
+	clear(c.postBatch)
+	clear(c.pendingWRs[:posted])
+	c.pendingWRs = c.pendingWRs[:copy(c.pendingWRs, c.pendingWRs[posted:])]
 }
 
 // Receive pops the next received message. ok is false when the inbox is
 // empty; the selector reports OpReceive readiness while messages wait.
 func (c *Channel) Receive() ([]byte, bool) {
-	if len(c.inbox) == 0 {
+	if c.inbox.Len() == 0 {
 		if c.key != nil {
 			c.key.ResetReady(OpReceive)
 		}
 		return nil, false
 	}
-	msg := c.inbox[0]
-	c.inbox = c.inbox[1:]
-	if len(c.inbox) == 0 && c.key != nil {
+	msg := c.inbox.Pop()
+	if c.inbox.Len() == 0 && c.key != nil {
 		c.key.ResetReady(OpReceive)
 	}
 	return msg, true
@@ -449,11 +483,14 @@ func (c *Channel) onSendCompletion(cqe rdma.CQE) {
 	}
 	c.signaled++
 	released := 0
-	for len(c.inFlight) > 0 && c.inFlight[0].seq <= cqe.WRID {
-		if s := c.inFlight[0].slot; s >= 0 {
-			c.freeSend = append(c.freeSend, s)
+	for c.inFlight.Len() > 0 && c.inFlight.Peek().seq <= cqe.WRID {
+		ps := c.inFlight.Pop()
+		if ps.slot >= 0 {
+			c.freeSend = append(c.freeSend, ps.slot)
 		}
-		c.inFlight = c.inFlight[1:]
+		if ps.inline != nil {
+			c.freeInline.Put(ps.inline[:0])
+		}
 		released++
 	}
 	if released > 0 && c.wantSend {

@@ -55,6 +55,13 @@ type Selector struct {
 	dispatch bool
 	handler  func([]*SelectionKey)
 
+	// takeReady deduplicates keys by stamping them with the batch
+	// number; batch is the dispatch's key slice, reused across batches,
+	// and dispatchFn the dispatch callback, built once.
+	epoch      uint64
+	batch      []*SelectionKey
+	dispatchFn func()
+
 	// Stats.
 	events  uint64
 	wakeups uint64
@@ -62,10 +69,12 @@ type Selector struct {
 
 // NewSelector creates a selector on a device's node.
 func NewSelector(dev *rdma.Device) *Selector {
-	return &Selector{
+	s := &Selector{
 		dev:    dev,
 		thread: sim.NewResource(dev.Node().Loop(), dev.Node().Name()+"/rubin", 1),
 	}
+	s.dispatchFn = s.dispatchBatch
+	return s
 }
 
 // Device returns the RDMA device the selector serves.
@@ -134,28 +143,31 @@ func (s *Selector) Select(handler func([]*SelectionKey)) {
 }
 
 // SelectNow drains currently ready keys without dispatch cost.
-func (s *Selector) SelectNow() []*SelectionKey { return s.takeReady() }
+func (s *Selector) SelectNow() []*SelectionKey { return s.takeReady(nil) }
 
-func (s *Selector) takeReady() []*SelectionKey {
+// takeReady drains the hybrid queue into dst[:0]; it returns nil when the
+// queue held no ready key.
+func (s *Selector) takeReady(dst []*SelectionKey) []*SelectionKey {
 	if len(s.hybridQ) == 0 {
 		return nil
 	}
 	// Match events to interested keys (ID comparison per the paper);
 	// deduplicate to one entry per key preserving first-event order.
-	seen := make(map[*SelectionKey]struct{}, len(s.hybridQ))
-	var keys []*SelectionKey
+	s.epoch++
+	keys := dst[:0]
 	for _, ev := range s.hybridQ {
 		k := ev.key
-		if k.canceled || k.ready&k.interest == 0 {
+		if k.canceled || k.ready&k.interest == 0 || k.taken == s.epoch {
 			continue
 		}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
+		k.taken = s.epoch
 		keys = append(keys, k)
 	}
+	clear(s.hybridQ)
 	s.hybridQ = s.hybridQ[:0]
+	if len(keys) == 0 {
+		return nil
+	}
 	return keys
 }
 
@@ -168,21 +180,25 @@ func (s *Selector) pump() {
 	// select() path, slower than the native epoll-backed NIO selector
 	// (paper Section IV notes native code as future work).
 	params := s.dev.Node().Network().Params()
-	s.thread.Acquire(params.Selector.RubinDispatch, func() {
-		s.dispatch = false
-		keys := s.takeReady()
-		if len(keys) == 0 || s.handler == nil {
-			return
+	s.thread.Acquire(params.Selector.RubinDispatch, s.dispatchFn)
+}
+
+// dispatchBatch runs one scheduled dispatch over the queued events.
+func (s *Selector) dispatchBatch() {
+	s.dispatch = false
+	keys := s.takeReady(s.batch)
+	if len(keys) == 0 || s.handler == nil {
+		return
+	}
+	s.batch = keys
+	s.wakeups++
+	s.handler(keys)
+	for _, k := range keys {
+		if !k.canceled && k.ready&k.interest != 0 {
+			s.hybridQ = append(s.hybridQ, event{key: k, ops: k.ready & k.interest})
 		}
-		s.wakeups++
-		s.handler(keys)
-		for _, k := range keys {
-			if !k.canceled && k.ready&k.interest != 0 {
-				s.hybridQ = append(s.hybridQ, event{key: k, ops: k.ready & k.interest})
-			}
-		}
-		s.pump()
-	})
+	}
+	s.pump()
 }
 
 // SelectionKey ties a channel to a selector; its unique ID characterizes
@@ -195,6 +211,7 @@ type SelectionKey struct {
 	ready      InterestOps
 	attachment any
 	canceled   bool
+	taken      uint64 // the selector epoch that last dispatched this key
 }
 
 // ID returns the key's unique identifier.

@@ -143,7 +143,7 @@ func (c *Channel) bindKey(k *SelectionKey) {
 
 func (c *Channel) readiness() InterestOps {
 	var r InterestOps
-	if len(c.inbox) > 0 {
+	if c.inbox.Len() > 0 {
 		r |= OpReceive
 	}
 	if c.connected && c.SendCapacity() > 0 {

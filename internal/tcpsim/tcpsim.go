@@ -49,10 +49,26 @@ type Stack struct {
 
 	// Interrupt coalescing: segments arriving while the receive softirq
 	// is active are drained in the same batch without a fresh interrupt
-	// charge. rxFrom parallels rxQueue.
-	rxQueue  []*segment
-	rxFrom   []*fabric.Node
+	// charge. The softirq processes one segment at a time; rxCur is the
+	// one on the CPU.
+	rxQueue  sim.FIFO[rxSegment]
+	rxCur    rxSegment
 	rxActive bool
+
+	// Callbacks built once (see sim.FIFO).
+	drainRxFn, rxDoneFn func()
+
+	// freeSegs recycles the segments this stack sent. The fabric hands
+	// each segment to exactly one receiver, which returns it to its
+	// sender's list once processed, so each list stays as long as its
+	// stack's most segments in flight.
+	freeSegs sim.FreeList[*segment]
+}
+
+// rxSegment is a received segment awaiting kernel processing.
+type rxSegment struct {
+	from *fabric.Node
+	seg  *segment
 }
 
 type connID struct {
@@ -63,6 +79,7 @@ type connID struct {
 
 // segment is the unit carried over the fabric.
 type segment struct {
+	owner    *Stack // the sending stack, whose free list takes it back
 	kind     segKind
 	srcPort  int
 	dstPort  int
@@ -92,6 +109,8 @@ func NewStack(node *fabric.Node) *Stack {
 		nextPort:  49152,
 		app:       sim.NewResource(node.Loop(), node.Name()+"/tcp-app", 1),
 	}
+	s.drainRxFn = s.drainRx
+	s.rxDoneFn = s.rxDone
 	node.Register(fabric.ProtoTCP, s.deliver)
 	return s
 }
@@ -150,6 +169,15 @@ func (l *Listener) Close() {
 	}
 }
 
+// sendBlock is one Write's kernel copy and the stream offset it ends at.
+type sendBlock struct {
+	buf []byte
+	end int64
+}
+
+// maxSpare bounds a connection's recycled send blocks.
+const maxSpare = 16
+
 type connState uint8
 
 const (
@@ -173,23 +201,46 @@ type Conn struct {
 
 	// Send side: bytes accepted from the application but not yet
 	// permitted onto the wire by the peer's advertised window.
-	sendQ    [][]byte
+	sendQ    sim.FIFO[[]byte]
 	sendQLen int
 	inFlight int // bytes on the wire not yet consumed by the peer app
 
-	// Receive side: the kernel socket buffer.
+	// Kernel send memory. Write copies into blocks that are recycled
+	// once the peer application has consumed every byte of them: by
+	// then each segment carrying those bytes has been delivered and
+	// copied into the peer's receive buffer.
+	blocks   sim.FIFO[sendBlock]  // written blocks, oldest first
+	spare    sim.FreeList[[]byte] // recycled blocks
+	accepted int64                // stream bytes accepted by Write
+	consumed int64                // stream bytes the peer consumed
+
+	// Receive side: the kernel socket buffer, recvBuf[recvOff:]. Reads
+	// advance recvOff; the consumed prefix is reclaimed in place rather
+	// than by reallocating (flow control bounds the buffer by
+	// SocketBuffer, so it stops growing after warm-up).
 	recvBuf    []byte
+	recvOff    int
 	notifyArm  bool // a readable wakeup is already scheduled
 	writeBlock bool // application hit a zero window and awaits OnWritable
+
+	// Syscalls whose CPU charge is still being served on the stack's
+	// one-server app thread, which completes them in call order.
+	writing sim.FIFO[[]byte] // Write: the bytes copied into the kernel
+	reading sim.FIFO[int]    // Read: the bytes consumed
+
+	// Callbacks built once (see sim.FIFO).
+	writtenFn, readFn, wakeupFn func()
 }
 
 func (s *Stack) newConn(remote *fabric.Node, localPort, remotePort int) *Conn {
-	return &Conn{
+	c := &Conn{
 		stack:      s,
 		remote:     remote,
 		localPort:  localPort,
 		remotePort: remotePort,
 	}
+	c.writtenFn, c.readFn, c.wakeupFn = c.written, c.read, c.wakeup
+	return c
 }
 
 func (c *Conn) id() connID {
@@ -223,7 +274,7 @@ func (c *Conn) OnWritable(fn func()) { c.onWritable = fn }
 func (c *Conn) OnClose(fn func()) { c.onClose = fn }
 
 // Readable returns the number of bytes immediately available to Read.
-func (c *Conn) Readable() int { return len(c.recvBuf) }
+func (c *Conn) Readable() int { return len(c.recvBuf) - c.recvOff }
 
 // WritableSpace returns how many bytes Write would currently accept.
 func (c *Conn) WritableSpace() int {
@@ -251,17 +302,52 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.writeBlock = true
 		return 0, nil
 	}
-	data := make([]byte, n)
+	data := c.kernelBlock(n)
 	copy(data, p)
 	tp := c.stack.params.TCP
 	cost := tp.SendSyscall + model.KB(tp.CopyPerKB, n) +
 		tp.SegmentProc*sim.Time(c.stack.params.Link.Frames(n))
 	c.sendQLen += n
-	c.stack.app.Acquire(cost, func() {
-		c.sendQ = append(c.sendQ, data)
-		c.pump()
-	})
+	c.writing.Push(data)
+	c.stack.app.Acquire(cost, c.writtenFn)
 	return n, nil
+}
+
+// written completes the oldest Write once its syscall has been served.
+func (c *Conn) written() {
+	c.sendQ.Push(c.writing.Pop())
+	c.pump()
+}
+
+// kernelBlock returns n bytes of kernel send memory: the newest spare
+// block if it is large enough (a smaller one is dropped, so the spares
+// follow the write sizes), else a fresh block rounded up to a power of
+// two so that it fits later writes of similar size.
+func (c *Conn) kernelBlock(n int) []byte {
+	b, _ := c.spare.Get()
+	if cap(b) >= n {
+		b = b[:n]
+	} else {
+		size := 512
+		for size < n {
+			size <<= 1
+		}
+		b = make([]byte, n, size)
+	}
+	c.accepted += int64(n)
+	c.blocks.Push(sendBlock{buf: b, end: c.accepted})
+	return b
+}
+
+// reclaim recycles the send blocks the peer has consumed entirely.
+func (c *Conn) reclaim(consumed int) {
+	c.consumed += int64(consumed)
+	for c.blocks.Len() > 0 && c.blocks.Peek().end <= c.consumed {
+		b := c.blocks.Pop().buf
+		if c.spare.Len() < maxSpare {
+			c.spare.Put(b[:0])
+		}
+	}
 }
 
 // pump moves queued bytes onto the wire as MTU segments while the peer's
@@ -271,12 +357,12 @@ func (c *Conn) pump() {
 		return
 	}
 	mtu := c.stack.params.Link.MTU
-	for len(c.sendQ) > 0 {
+	for c.sendQ.Len() > 0 {
 		window := c.stack.params.TCP.SocketBuffer - c.inFlight
 		if window <= 0 {
 			return
 		}
-		head := c.sendQ[0]
+		head := *c.sendQ.Peek()
 		n := len(head)
 		if n > mtu {
 			n = mtu
@@ -286,13 +372,15 @@ func (c *Conn) pump() {
 		}
 		chunk := head[:n]
 		if n == len(head) {
-			c.sendQ = c.sendQ[1:]
+			c.sendQ.Pop()
 		} else {
-			c.sendQ[0] = head[n:]
+			*c.sendQ.Peek() = head[n:]
 		}
 		c.sendQLen -= n
 		c.inFlight += n
-		c.send(&segment{kind: segDATA, srcPort: c.localPort, dstPort: c.remotePort, payload: chunk}, n)
+		seg := c.stack.newSegment(segDATA, c.localPort, c.remotePort)
+		seg.payload = chunk
+		c.send(seg, n)
 	}
 }
 
@@ -301,22 +389,32 @@ func (c *Conn) pump() {
 // charged to the CPU; the window update advertising freed space is sent
 // once that charge has been served.
 func (c *Conn) Read(p []byte) (int, error) {
-	if c.state == stateClosed && len(c.recvBuf) == 0 {
+	if c.state == stateClosed && c.Readable() == 0 {
 		return 0, ErrClosed
 	}
-	n := copy(p, c.recvBuf)
+	n := copy(p, c.recvBuf[c.recvOff:])
 	if n == 0 {
 		return 0, nil
 	}
-	c.recvBuf = c.recvBuf[n:]
+	c.recvOff += n
+	if c.recvOff == len(c.recvBuf) {
+		c.recvBuf, c.recvOff = c.recvBuf[:0], 0
+	}
 	tp := c.stack.params.TCP
 	cost := tp.RecvSyscall + model.KB(tp.CopyPerKB, n)
-	c.stack.app.Acquire(cost, func() {
-		if c.state == stateEstablished {
-			c.send(&segment{kind: segWINDOW, srcPort: c.localPort, dstPort: c.remotePort, consumed: n}, 0)
-		}
-	})
+	c.reading.Push(n)
+	c.stack.app.Acquire(cost, c.readFn)
 	return n, nil
+}
+
+// read completes the oldest Read once its syscall has been served.
+func (c *Conn) read() {
+	n := c.reading.Pop()
+	if c.state == stateEstablished {
+		seg := c.stack.newSegment(segWINDOW, c.localPort, c.remotePort)
+		seg.consumed = n
+		c.send(seg, 0)
+	}
 }
 
 // Close shuts the connection down and notifies the peer.
@@ -343,7 +441,17 @@ func (c *Conn) teardown() {
 }
 
 func (c *Conn) sendControl(kind segKind) {
-	c.send(&segment{kind: kind, srcPort: c.localPort, dstPort: c.remotePort}, 0)
+	c.send(c.stack.newSegment(kind, c.localPort, c.remotePort), 0)
+}
+
+// newSegment takes a segment from the free list, or allocates one.
+func (s *Stack) newSegment(kind segKind, src, dst int) *segment {
+	seg, ok := s.freeSegs.Get()
+	if !ok {
+		seg = &segment{owner: s}
+	}
+	seg.kind, seg.srcPort, seg.dstPort = kind, src, dst
+	return seg
 }
 
 func (c *Conn) send(seg *segment, payloadBytes int) {
@@ -364,28 +472,32 @@ func (s *Stack) deliver(from *fabric.Node, payload any, wireBytes int) {
 	if !ok {
 		return
 	}
-	s.rxQueue = append(s.rxQueue, seg)
-	s.rxFrom = append(s.rxFrom, from)
+	s.rxQueue.Push(rxSegment{from: from, seg: seg})
 	if s.rxActive {
 		return
 	}
 	s.rxActive = true
-	s.node.CPU.Acquire(s.params.TCP.Interrupt, s.drainRx)
+	s.node.CPU.Acquire(s.params.TCP.Interrupt, s.drainRxFn)
 }
 
 func (s *Stack) drainRx() {
-	if len(s.rxQueue) == 0 {
+	if s.rxQueue.Len() == 0 {
 		s.rxActive = false
 		return
 	}
-	seg := s.rxQueue[0]
-	from := s.rxFrom[0]
-	s.rxQueue = s.rxQueue[1:]
-	s.rxFrom = s.rxFrom[1:]
-	s.node.CPU.Acquire(s.params.TCP.SegmentProc, func() {
-		s.handleSegment(from, seg)
-		s.drainRx()
-	})
+	s.rxCur = s.rxQueue.Pop()
+	s.node.CPU.Acquire(s.params.TCP.SegmentProc, s.rxDoneFn)
+}
+
+func (s *Stack) rxDone() {
+	rx := s.rxCur
+	s.rxCur = rxSegment{}
+	s.handleSegment(rx.from, rx.seg)
+	if owner := rx.seg.owner; owner != nil {
+		*rx.seg = segment{owner: owner}
+		owner.freeSegs.Put(rx.seg)
+	}
+	s.drainRx()
 }
 
 func (s *Stack) handleSegment(from *fabric.Node, seg *segment) {
@@ -434,6 +546,10 @@ func (s *Stack) handleSegment(from *fabric.Node, seg *segment) {
 		if c == nil || c.state != stateEstablished {
 			return
 		}
+		if c.recvOff > 0 && cap(c.recvBuf)-len(c.recvBuf) < len(seg.payload) {
+			c.recvBuf = c.recvBuf[:copy(c.recvBuf, c.recvBuf[c.recvOff:])]
+			c.recvOff = 0
+		}
 		c.recvBuf = append(c.recvBuf, seg.payload...)
 		c.notifyReadable()
 	case segWINDOW:
@@ -445,6 +561,7 @@ func (s *Stack) handleSegment(from *fabric.Node, seg *segment) {
 		if c.inFlight < 0 {
 			c.inFlight = 0
 		}
+		c.reclaim(seg.consumed)
 		c.pump()
 		if c.writeBlock && c.WritableSpace() > 0 && c.onWritable != nil {
 			c.writeBlock = false
@@ -465,10 +582,12 @@ func (c *Conn) notifyReadable() {
 		return
 	}
 	c.notifyArm = true
-	c.stack.node.CPU.Acquire(c.stack.params.TCP.Wakeup, func() {
-		c.notifyArm = false
-		if c.onReadable != nil && len(c.recvBuf) > 0 {
-			c.onReadable()
-		}
-	})
+	c.stack.node.CPU.Acquire(c.stack.params.TCP.Wakeup, c.wakeupFn)
+}
+
+func (c *Conn) wakeup() {
+	c.notifyArm = false
+	if c.onReadable != nil && c.Readable() > 0 {
+		c.onReadable()
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"rubin/internal/fabric"
 	"rubin/internal/rdma"
 	"rubin/internal/rubin"
+	"rubin/internal/sim"
 )
 
 // rdmaStack is the RUBIN backend: one RDMA device and one RUBIN selector
@@ -115,7 +116,7 @@ type rdmaConn struct {
 	onDrain func()
 	closed  bool
 
-	overflow [][]byte
+	overflow sim.FIFO[[]byte]
 	inbox    [][]byte
 }
 
@@ -140,7 +141,7 @@ func (c *rdmaConn) OnDrain(fn func()) { c.onDrain = fn }
 
 // Unsent counts messages spilled past the work-request pool. Messages the
 // channel already owns WRs for are NIC-queued, not software backlog.
-func (c *rdmaConn) Unsent() int { return len(c.overflow) }
+func (c *rdmaConn) Unsent() int { return c.overflow.Len() }
 
 func (c *rdmaConn) Send(msg []byte) error {
 	if c.closed || c.ch.Closed() {
@@ -149,13 +150,13 @@ func (c *rdmaConn) Send(msg []byte) error {
 	if len(msg) > c.stack.opts.MaxMessage {
 		return fmt.Errorf("%w: %d", ErrTooBig, len(msg))
 	}
-	if len(c.overflow) > 0 {
-		c.overflow = append(c.overflow, cloneBytes(msg))
+	if c.overflow.Len() > 0 {
+		c.overflow.Push(cloneBytes(msg))
 		return nil
 	}
 	err := c.ch.Send(msg)
 	if err == rubin.ErrWouldBlock {
-		c.overflow = append(c.overflow, cloneBytes(msg))
+		c.overflow.Push(cloneBytes(msg))
 		c.key.SetInterest(rubin.OpReceive | rubin.OpSend)
 		return nil
 	}
@@ -168,8 +169,8 @@ func (c *rdmaConn) Send(msg []byte) error {
 // retry drains the overflow queue once send capacity returns.
 func (c *rdmaConn) retry() {
 	drained := false
-	for len(c.overflow) > 0 {
-		err := c.ch.Send(c.overflow[0])
+	for c.overflow.Len() > 0 {
+		err := c.ch.Send(*c.overflow.Peek())
 		if err == rubin.ErrWouldBlock {
 			c.key.SetInterest(rubin.OpReceive | rubin.OpSend)
 			return
@@ -178,7 +179,7 @@ func (c *rdmaConn) retry() {
 			c.teardown()
 			return
 		}
-		c.overflow = c.overflow[1:]
+		c.overflow.Pop()
 		drained = true
 	}
 	if drained && c.onDrain != nil {

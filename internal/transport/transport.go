@@ -67,6 +67,10 @@ type Conn interface {
 	Send(msg []byte) error
 	// OnMessage installs the delivery callback. Must be set before
 	// messages arrive; delivery without a callback queues internally.
+	// The receive-buffer ownership contract: msg belongs to the receiver,
+	// which may retain it indefinitely, since the transport never
+	// reuses it; no layer modifies received bytes, so decoders may
+	// alias them.
 	OnMessage(fn func(msg []byte))
 	// OnClose installs a callback for connection teardown.
 	OnClose(fn func())
@@ -160,7 +164,7 @@ func (s *tcpStack) Dial(remote *fabric.Node, port int, done func(Conn, error)) {
 // wrap builds the framed connection around an established socket channel
 // and registers it for reads.
 func (s *tcpStack) wrap(ch *nio.SocketChannel) *tcpConn {
-	tc := &tcpConn{stack: s, conn: ch.Conn(), ch: ch, readBuf: make([]byte, 64<<10)}
+	tc := &tcpConn{stack: s, conn: ch.Conn(), ch: ch}
 	tc.key = s.sel.Register(ch, nio.OpRead, tc)
 	return tc
 }
@@ -201,8 +205,17 @@ func (s *tcpStack) dispatch(keys []*nio.SelectionKey) {
 	}
 }
 
+// readChunk is the most one Read syscall moves out of the socket buffer.
+const readChunk = 64 << 10
+
 // tcpConn frames messages with a 4-byte big-endian length prefix and
 // coalesces up to Batch messages per write syscall.
+//
+// Both directions work in place. Send frames each message straight into
+// sendBuf; a flush hands the kernel a contiguous run of frames, which the
+// kernel copies, so the buffer is reused once it has been written out.
+// Reads land directly in acc, and each delivered message is the one copy
+// the receiver owns (see Conn.OnMessage).
 type tcpConn struct {
 	stack   *tcpStack
 	conn    *tcpsim.Conn
@@ -213,14 +226,22 @@ type tcpConn struct {
 	onDrain func()
 	closed  bool
 
-	// Reassembly state.
-	readBuf []byte
-	acc     []byte
-	inbox   [][]byte
+	// Reassembly state: acc[accOff:] holds received bytes not yet
+	// deframed.
+	acc    []byte
+	accOff int
+	inbox  [][]byte
 
-	// Send side.
-	sendQ      [][]byte
+	// Send side: sendBuf[sendOff:] holds the unsent bytes, split into
+	// queue entries that end at the offsets sendEnds[sendHead:]. An entry
+	// is one framed message, except that a short write merges the rest of
+	// its batch into one entry, which later flushes count as one message.
+	sendBuf    []byte
+	sendOff    int
+	sendEnds   []int
+	sendHead   int
 	flushArmed bool
+	flushFn    func() // the armed flush, built once
 }
 
 var _ Conn = (*tcpConn)(nil)
@@ -241,7 +262,7 @@ func (c *tcpConn) OnClose(fn func()) { c.onClose = fn }
 
 func (c *tcpConn) OnDrain(fn func()) { c.onDrain = fn }
 
-func (c *tcpConn) Unsent() int { return len(c.sendQ) }
+func (c *tcpConn) Unsent() int { return len(c.sendEnds) - c.sendHead }
 
 func (c *tcpConn) Send(msg []byte) error {
 	if c.closed {
@@ -250,10 +271,9 @@ func (c *tcpConn) Send(msg []byte) error {
 	if len(msg) > c.stack.opts.MaxMessage {
 		return fmt.Errorf("%w: %d", ErrTooBig, len(msg))
 	}
-	framed := make([]byte, 4+len(msg))
-	binary.BigEndian.PutUint32(framed, uint32(len(msg)))
-	copy(framed[4:], msg)
-	c.sendQ = append(c.sendQ, framed)
+	c.sendBuf = binary.BigEndian.AppendUint32(c.sendBuf, uint32(len(msg)))
+	c.sendBuf = append(c.sendBuf, msg...)
+	c.sendEnds = append(c.sendEnds, len(c.sendBuf))
 	c.armFlush()
 	return nil
 }
@@ -265,50 +285,63 @@ func (c *tcpConn) armFlush() {
 		return
 	}
 	c.flushArmed = true
-	c.conn.LocalNode().Loop().Post(func() {
-		c.flushArmed = false
-		c.flush()
-	})
+	if c.flushFn == nil {
+		c.flushFn = func() {
+			c.flushArmed = false
+			c.flush()
+		}
+	}
+	c.conn.LocalNode().Loop().Post(c.flushFn)
 }
 
 func (c *tcpConn) flush() {
 	wroteAny := false
-	for len(c.sendQ) > 0 && !c.closed {
-		n := len(c.sendQ)
-		if n > c.stack.opts.Batch {
-			n = c.stack.opts.Batch
-		}
-		var chunk []byte
-		for _, f := range c.sendQ[:n] {
-			chunk = append(chunk, f...)
-		}
-		wrote, err := c.conn.Write(chunk)
+	for c.Unsent() > 0 && !c.closed {
+		last := c.sendHead + min(c.Unsent(), c.stack.opts.Batch) - 1
+		end := c.sendEnds[last]
+		wrote, err := c.conn.Write(c.sendBuf[c.sendOff:end])
 		if err != nil {
 			c.teardown()
 			return
 		}
-		if wrote < len(chunk) {
-			// Socket buffer full: keep the unwritten tail and resume
-			// on OpWrite readiness.
-			c.sendQ = c.sendQ[n:]
-			if wrote > 0 {
-				rest := make([]byte, len(chunk)-wrote)
-				copy(rest, chunk[wrote:])
-				c.sendQ = append([][]byte{rest}, c.sendQ...)
-			} else {
-				c.sendQ = append([][]byte{chunk}, c.sendQ...)
-			}
+		c.sendOff += wrote
+		if c.sendOff < end {
+			// Socket buffer full: the unwritten tail of the batch
+			// stays queued as one entry; resume on OpWrite readiness.
+			c.sendHead = last
+			c.compactSend()
 			if c.ch != nil {
 				c.keyInterest(nio.OpRead | nio.OpWrite)
 			}
 			return
 		}
-		c.sendQ = c.sendQ[n:]
+		c.sendHead = last + 1
 		wroteAny = true
 	}
-	if wroteAny && len(c.sendQ) == 0 && !c.closed && c.onDrain != nil {
+	c.compactSend()
+	if wroteAny && c.Unsent() == 0 && !c.closed && c.onDrain != nil {
 		c.onDrain()
 	}
+}
+
+// compactSend reclaims send-queue space already written: all of it once
+// the queue is empty, else the written prefix once it is at least half
+// the buffer (so a long backlog costs amortized O(1) copying per byte).
+func (c *tcpConn) compactSend() {
+	if c.Unsent() == 0 {
+		c.sendBuf, c.sendOff = c.sendBuf[:0], 0
+		c.sendEnds, c.sendHead = c.sendEnds[:0], 0
+		return
+	}
+	if c.sendOff < len(c.sendBuf)/2 {
+		return
+	}
+	c.sendBuf = c.sendBuf[:copy(c.sendBuf, c.sendBuf[c.sendOff:])]
+	c.sendEnds = c.sendEnds[:copy(c.sendEnds, c.sendEnds[c.sendHead:])]
+	for i := range c.sendEnds {
+		c.sendEnds[i] -= c.sendOff
+	}
+	c.sendOff, c.sendHead = 0, 0
 }
 
 func (c *tcpConn) keyInterest(ops nio.InterestOps) {
@@ -317,6 +350,24 @@ func (c *tcpConn) keyInterest(ops nio.InterestOps) {
 	if c.key != nil {
 		c.key.SetInterest(ops)
 	}
+}
+
+// reserveRead makes room for one readChunk after acc's bytes, first by
+// moving the undeframed tail to the front, then by growing the buffer.
+func (c *tcpConn) reserveRead() {
+	if cap(c.acc)-len(c.acc) >= readChunk {
+		return
+	}
+	if c.accOff > 0 {
+		c.acc = c.acc[:copy(c.acc, c.acc[c.accOff:])]
+		c.accOff = 0
+		if cap(c.acc)-len(c.acc) >= readChunk {
+			return
+		}
+	}
+	grown := make([]byte, len(c.acc), max(2*cap(c.acc), len(c.acc)+readChunk))
+	copy(grown, c.acc)
+	c.acc = grown
 }
 
 func (c *tcpConn) drain() {
@@ -328,7 +379,8 @@ func (c *tcpConn) drain() {
 		return
 	}
 	for {
-		n, err := c.ch.Read(c.readBuf)
+		c.reserveRead()
+		n, err := c.ch.Read(c.acc[len(c.acc) : len(c.acc)+readChunk])
 		if err != nil {
 			c.teardown()
 			return
@@ -336,20 +388,28 @@ func (c *tcpConn) drain() {
 		if n == 0 {
 			break
 		}
-		c.acc = append(c.acc, c.readBuf[:n]...)
+		c.acc = c.acc[:len(c.acc)+n]
 	}
 	params := c.stack.node.Network().Params()
 	for {
-		if len(c.acc) < 4 {
+		buf := c.acc[c.accOff:]
+		if len(buf) < 4 {
 			break
 		}
-		size := int(binary.BigEndian.Uint32(c.acc))
-		if len(c.acc) < 4+size {
+		size := binary.BigEndian.Uint32(buf)
+		if uint64(size) > uint64(c.stack.opts.MaxMessage) {
+			// No honest sender frames more than MaxMessage (Send
+			// refuses it), so the prefix is corrupt or hostile.
+			// Buffering toward it would grow acc without bound.
+			c.Close()
+			return
+		}
+		if len(buf) < 4+int(size) {
 			break
 		}
 		msg := make([]byte, size)
-		copy(msg, c.acc[4:4+size])
-		c.acc = c.acc[4+size:]
+		copy(msg, buf[4:])
+		c.accOff += 4 + int(size)
 		// Deframing plus handler dispatch costs real selector-thread
 		// time per message.
 		c.stack.st.AppThread().Delay(params.TCP.MsgHandle)
@@ -358,6 +418,9 @@ func (c *tcpConn) drain() {
 		} else {
 			c.inbox = append(c.inbox, msg)
 		}
+	}
+	if c.accOff == len(c.acc) {
+		c.acc, c.accOff = c.acc[:0], 0
 	}
 }
 

@@ -2,12 +2,14 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
 	"rubin/internal/fabric"
 	"rubin/internal/model"
 	"rubin/internal/sim"
+	"rubin/internal/tcpsim"
 )
 
 // rig builds an n-node network with a stack of the given kind on each.
@@ -351,5 +353,166 @@ func TestLargeVolumeStream(t *testing.T) {
 				t.Fatalf("received %d bytes, want %d", total, msgs*size)
 			}
 		})
+	}
+}
+
+// TestDeliveredBuffersStayIntact pins the receive-buffer ownership
+// contract on both backends: a buffer delivered by OnMessage belongs to
+// the receiver, so it must keep its bytes while later traffic arrives on
+// the same connection. A deframer that handed out slices of a reused
+// receive buffer fails here. The sender also reuses one buffer for every
+// Send, which Send's copy makes safe.
+func TestDeliveredBuffersStayIntact(t *testing.T) {
+	for _, kind := range kinds() {
+		kind := kind
+		t.Run(string(kind), func(t *testing.T) {
+			r := newRig(t, kind, 2, DefaultOptions())
+			client, server := r.pair(t, 700)
+			var got [][]byte
+			server.OnMessage(func(m []byte) { got = append(got, m) })
+			sizes := []int{3, 200, 1500, 9000, 70 << 10, 64}
+			var want [][]byte
+			buf := make([]byte, 0, 80<<10)
+			for round := 0; round < 4; round++ {
+				r.loop.Post(func() {
+					for i, n := range sizes {
+						buf = buf[:n]
+						for j := range buf {
+							buf[j] = byte(round*31 + i*7 + j)
+						}
+						want = append(want, bytes.Clone(buf))
+						if err := client.Send(buf); err != nil {
+							t.Errorf("Send: %v", err)
+						}
+						clear(buf) // the caller owns buf again
+					}
+				})
+				r.loop.Run()
+			}
+			if len(got) != len(want) {
+				t.Fatalf("delivered %d messages, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("message %d (%d bytes) changed after later traffic", i, len(want[i]))
+				}
+			}
+		})
+	}
+}
+
+// TestTCPBacklogWithLaterSendsKeepsOrderAndCounts queues more than the
+// socket buffer holds in one event turn, so flushes end in short writes
+// that merge the rest of their batch into one queue entry. Every byte
+// must still leave exactly once and in order, and Unsent must count
+// entries down to zero.
+//
+// It does NOT show that a backlog drains on its own. The simulated
+// socket arms OnWritable only after a write of zero bytes, not after a
+// short one, so without later traffic the tail of the backlog stays
+// queued (37 of the 100 frames here are never delivered); the trickle of
+// later sends is what re-arms the flush. That stall is a known open defect of tcpsim.
+func TestTCPBacklogWithLaterSendsKeepsOrderAndCounts(t *testing.T) {
+	r := newRig(t, KindTCP, 2, DefaultOptions())
+	client, server := r.pair(t, 700)
+	var got []int
+	server.OnMessage(func(m []byte) {
+		if !bytes.Equal(m, bytes.Repeat([]byte{m[0]}, len(m))) {
+			t.Errorf("message %d corrupted", m[0])
+		}
+		got = append(got, int(m[0]))
+	})
+	const bulk = 100 // 100 x 64 KB overflows the 4 MB socket buffer
+	const trickle = 100
+	sawBacklog := false
+	r.loop.Post(func() {
+		for i := 0; i < bulk; i++ {
+			if err := client.Send(bytes.Repeat([]byte{byte(i)}, 64<<10)); err != nil {
+				t.Errorf("Send %d: %v", i, err)
+			}
+		}
+		if client.Unsent() != bulk {
+			t.Errorf("Unsent = %d before the flush, want %d", client.Unsent(), bulk)
+		}
+	})
+	for i := 0; i < trickle; i++ {
+		i := i
+		r.loop.At(sim.Time(i+1)*sim.Millisecond, func() {
+			if client.Unsent() > 0 {
+				sawBacklog = true
+			}
+			if err := client.Send([]byte{byte(bulk + i)}); err != nil {
+				t.Errorf("Send: %v", err)
+			}
+		})
+	}
+	r.loop.Run()
+	if !sawBacklog {
+		t.Fatal("the socket buffer never filled; the test exercises nothing")
+	}
+	if client.Unsent() != 0 {
+		t.Fatalf("Unsent = %d after the run", client.Unsent())
+	}
+	if len(got) != bulk+trickle {
+		t.Fatalf("delivered %d, want %d", len(got), bulk+trickle)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("order broken at %d", i)
+		}
+	}
+}
+
+// TestTCPOversizedLengthPrefixClosesConn writes, through a raw simulated
+// TCP socket, a frame header announcing more than MaxMessage bytes, as a
+// Byzantine peer could. The receiver must tear the connection down at
+// the header instead of buffering toward the announced length.
+func TestTCPOversizedLengthPrefixClosesConn(t *testing.T) {
+	loop := sim.NewLoop(1)
+	nw := fabric.New(loop, model.Default())
+	evil, honest := nw.AddNode("evil"), nw.AddNode("honest")
+	nw.Connect(evil, honest)
+	opts := DefaultOptions()
+	st, err := NewStack(KindTCP, honest, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var server Conn
+	serverClosed := false
+	if err := st.Listen(700, func(c Conn) {
+		server = c
+		c.OnMessage(func([]byte) { t.Error("a message was delivered") })
+		c.OnClose(func() { serverClosed = true })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	raw := tcpsim.NewStack(evil)
+	rawClosed := false
+	loop.Post(func() {
+		raw.Dial(honest, 700, func(c *tcpsim.Conn, err error) {
+			if err != nil {
+				t.Errorf("Dial: %v", err)
+				return
+			}
+			c.OnClose(func() { rawClosed = true })
+			frame := binary.BigEndian.AppendUint32(nil, uint32(opts.MaxMessage)+1)
+			frame = append(frame, make([]byte, 32<<10)...)
+			if _, err := c.Write(frame); err != nil {
+				t.Errorf("Write: %v", err)
+			}
+		})
+	})
+	loop.Run()
+	if server == nil {
+		t.Fatal("connection not accepted")
+	}
+	if !serverClosed || !rawClosed {
+		t.Fatalf("connection survived a hostile length prefix (server closed %v, peer saw close %v)", serverClosed, rawClosed)
+	}
+	if tc := server.(*tcpConn); len(tc.acc)-tc.accOff > 4+(32<<10) {
+		t.Fatalf("receiver buffered %d bytes toward the bogus frame", len(tc.acc)-tc.accOff)
+	}
+	if err := server.Send([]byte("x")); err == nil {
+		t.Fatal("Send succeeded on the torn-down connection")
 	}
 }
